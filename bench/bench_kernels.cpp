@@ -1,17 +1,25 @@
 // google-benchmark microbenchmarks for the compute kernels underneath the
 // experiments: matmul, conv2d forward/backward, im2col, crossbar MVM, the
-// batched crossbar matmul on every registered execution target, and
-// Monte-Carlo perturbation sampling.
+// batched crossbar matmul on every registered execution target, the
+// conv-shaped crossbar legs, and Monte-Carlo perturbation sampling.
+//
+// Writes BENCH_kernels.json (see bench::BenchJson): GFLOP/s of the
+// conv-shaped crossbar legs next to the 512x512 per-target matmul legs, so
+// the narrow-tile regime of a LeNet conv shows beside the kernel peak.
+// Record-only: no gate reads these numbers.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 
 #include "analog/crossbar.h"
 #include "analog/variation.h"
+#include "common.h"
 #include "exec/target.h"
 #include "nn/conv2d.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
+#include "tensor/threadpool.h"
 
 namespace {
 
@@ -115,6 +123,39 @@ void BM_CrossbarMatmulTarget(benchmark::State& state, const exec::Target* t) {
   state.SetItemsProcessed(state.iterations() * 4 * n * n * batch);
 }
 
+// A LeNet conv's crossbar work for 128 images, one matmul_cols per image as
+// CrossbarConv2D issues it: (in x out) array, P output pixels per image.
+// Images run in parallel across the pool and each image's matmul inline on
+// its worker — the campaign's shape (one chip forward per worker). GFLOP/s
+// counts 4 flops per cell per pixel (differential pair: 2 products + 2 adds)
+// over wall time.
+void BM_CrossbarConvShape(benchmark::State& state) {
+  const int64_t in = state.range(0), out = state.range(1), P = state.range(2);
+  constexpr int64_t kImages = 128;
+  Rng rng(9);
+  Tensor w({out, in});
+  rng.fill_normal(w, 0.0f, 0.5f);
+  analog::RramDeviceParams dev;
+  dev.program_sigma = 0.1f;
+  Rng prog(10);
+  const analog::CrossbarArray xbar(w, dev, prog, /*tile=*/128);
+  Tensor x({kImages, in, P}), y({kImages, out, P});
+  rng.fill_normal(x, 0.0f, 1.0f);
+  for (auto _ : state) {
+    parallel_for(0, kImages, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i)
+        xbar.matmul_cols(x.data() + i * in * P, P, y.data() + i * out * P);
+    });
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      4e-9 * static_cast<double>(in * out * P * kImages),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+// LeNet conv1 (5x5x1 kernels, 6 maps, 28x28 outputs) and conv2 (5x5x6, 16
+// maps, 10x10 outputs).
+BENCHMARK(BM_CrossbarConvShape)->Args({25, 6, 784})->Args({150, 16, 100})->UseRealTime();
+
 void BM_VariationSampling(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(6);
@@ -129,10 +170,30 @@ void BM_VariationSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_VariationSampling)->Arg(128)->Arg(512);
 
+// Console output as usual, plus the GFLOP/s of the crossbar legs collected
+// for BENCH_kernels.json.
+class GflopsCapture : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& r : runs) {
+      if (r.run_type != Run::RT_Iteration || r.error_occurred) continue;
+      const std::string name = r.benchmark_name();
+      if (auto it = r.counters.find("GFLOPS"); it != r.counters.end())
+        gflops[name] = it->second.value;
+      else if (name.rfind("BM_CrossbarMatmul/", 0) == 0)
+        if (auto ips = r.counters.find("items_per_second"); ips != r.counters.end())
+          gflops[name] = ips->second.value * 1e-9;
+    }
+  }
+  std::map<std::string, double> gflops;
+};
+
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the per-target crossbar legs are
-// registered dynamically from the execution-target registry.
+// registered dynamically from the execution-target registry, and the
+// crossbar legs' GFLOP/s is written to BENCH_kernels.json.
 int main(int argc, char** argv) {
   for (const cn::exec::Target* t : cn::exec::registered_targets()) {
     if (!t->available()) continue;
@@ -141,10 +202,15 @@ int main(int argc, char** argv) {
         name.c_str(),
         [t](benchmark::State& s) { BM_CrossbarMatmulTarget(s, t); })
         ->Arg(128)
-        ->Arg(512);
+        ->Arg(512)
+        ->UseRealTime();
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  GflopsCapture reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  cn::bench::BenchJson json("kernels");
+  for (const auto& [name, v] : reporter.gflops) json.set(name + ".gflops", v);
+  json.write();
   return 0;
 }

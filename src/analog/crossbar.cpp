@@ -171,24 +171,59 @@ void CrossbarTile::finish_row(float* currents, float* y, Rng* read_rng) const {
   for (int64_t c = 0; c < cols_; ++c) y[c] += scale_ * currents[c];
 }
 
+void CrossbarTile::finish_block(float* cur, int64_t nitems, float* y, int64_t ldy,
+                                Rng* const* item_rngs) const {
+  // Bitline-major block: (item i, bitline c) at cur[c * nitems + i]. Each
+  // item draws its read noise in bitline order from its own stream, exactly
+  // as finish_row does for one item.
+  const int64_t n = nitems * cols_;
+  if (item_rngs && dev_.readout.read_sigma > 0.0f) {
+    for (int64_t i = 0; i < nitems; ++i) {
+      Rng* rng = item_rngs[i];
+      if (!rng) continue;
+      for (int64_t c = 0; c < cols_; ++c)
+        cur[c * nitems + i] *=
+            1.0f + static_cast<float>(rng->normal(0.0, dev_.readout.read_sigma));
+    }
+  }
+  if (dev_.readout.adc_bits > 0) {
+    const float fs = static_cast<float>(rows_) * (dev_.g_max - dev_.g_min);
+    for (int64_t k = 0; k < n; ++k)
+      cur[k] = quantize_uniform(cur[k], -fs, fs, 1 << dev_.readout.adc_bits);
+  }
+  const float scale = scale_;  // a local, so the y stores cannot alias it
+  for (int64_t c = 0; c < cols_; ++c) {
+    const float* cc = cur + c * nitems;
+    float* yc = y + c * ldy;
+    for (int64_t i = 0; i < nitems; ++i) yc[i] += scale * cc[i];
+  }
+}
+
 void CrossbarTile::accumulate_rows(const float* x, int64_t nitems,
                                    int64_t x_item_stride, int64_t x_word_stride,
-                                   float* y, int64_t ldy, Rng* const* row_rngs,
-                                   float* cur_scratch,
+                                   float* y, int64_t ldy, bool y_bitline_major,
+                                   Rng* const* item_rngs, std::vector<float>& cur,
                                    exec::Scratch& scratch) const {
   // Item-blocking width never changes results (items accumulate
-  // independently), only register/cache pressure; clamp to the 8 current
-  // rows cur_scratch holds.
-  const int64_t row_block = std::min<int64_t>(8, exec_->row_block());
-  int64_t done = 0;
-  while (done < nitems) {
-    const int64_t rb = std::min<int64_t>(row_block, nitems - done);
-    exec_->currents(x + done * x_item_stride, rb, x_item_stride, x_word_stride,
-                    cur_scratch, cols_, scratch);
+  // independently), only register/cache pressure.
+  const int64_t block = exec_->row_block(x_item_stride == 1);
+  if (cur.size() < static_cast<size_t>(block * cols_))
+    cur.resize(static_cast<size_t>(block * cols_));
+  for (int64_t done = 0; done < nitems; done += block) {
+    const int64_t rb = std::min(block, nitems - done);
+    const float* xb = x + done * x_item_stride;
+    Rng* const* rngs = item_rngs ? item_rngs + done : nullptr;
+    if (y_bitline_major) {
+      exec_->currents(xb, rb, x_item_stride, x_word_stride, cur.data(), 1, rb,
+                      scratch);
+      finish_block(cur.data(), rb, y + done, ldy, rngs);
+      continue;
+    }
+    exec_->currents(xb, rb, x_item_stride, x_word_stride, cur.data(), cols_, 1,
+                    scratch);
     for (int64_t i = 0; i < rb; ++i)
-      finish_row(cur_scratch + i * cols_, y + (done + i) * ldy,
-                 row_rngs ? row_rngs[done + i] : nullptr);
-    done += rb;
+      finish_row(cur.data() + i * cols_, y + (done + i) * ldy,
+                 rngs ? rngs[i] : nullptr);
   }
 }
 
@@ -231,7 +266,6 @@ CrossbarArray::CrossbarArray(const Tensor& w_out_in, const RramDeviceParams& dev
       tiles_.push_back(Placed{r0, c0, CrossbarTile(sub, absmax, dev_, rng,
                                                    /*defer_lowering=*/have_faults,
                                                    target_)});
-      max_tile_cols_ = std::max(max_tile_cols_, cc);
       if (have_faults) {
         FaultModel::TileCtx ctx;
         ctx.rows = rr;
@@ -280,7 +314,9 @@ Tensor CrossbarArray::matmul(const Tensor& x, Rng* read_rng) const {
       dac_quantize_span(x_q.data() + i * in_, in_, dev_.readout.dac_bits);
     xd = x_q.data();
   }
-  return matmul_impl(xd, n, /*colmajor=*/false, read_rng);
+  Tensor y({n, out_});
+  matmul_impl(xd, n, /*colmajor=*/false, y.data(), read_rng);
+  return y;
 }
 
 Tensor CrossbarArray::matmul_cols(const Tensor& x_cm, Rng* read_rng) const {
@@ -288,60 +324,88 @@ Tensor CrossbarArray::matmul_cols(const Tensor& x_cm, Rng* read_rng) const {
     throw std::invalid_argument(
         "CrossbarArray::matmul_cols: input must be (in, batch)");
   const int64_t n = x_cm.dim(1);
-  if (dev_.readout.dac_bits > 0 && n > 0) {
-    // DAC ranges are per input vector, i.e. per *column* here; materialize
-    // the row-major batch and take the matmul path (quantization already
-    // dominates this configuration).
-    Tensor xr({n, in_});
-    for (int64_t r = 0; r < in_; ++r)
-      for (int64_t i = 0; i < n; ++i) xr[i * in_ + r] = x_cm[r * n + i];
-    return matmul(xr, read_rng);
-  }
-  return matmul_impl(x_cm.data(), n, /*colmajor=*/true, read_rng);
+  Tensor y({out_, n});
+  matmul_cols(x_cm.data(), n, y.data(), read_rng);
+  return y;
 }
 
-Tensor CrossbarArray::matmul_impl(const float* xd, int64_t n, bool colmajor,
-                                  Rng* read_rng) const {
-  Tensor y({n, out_});
-  if (n == 0) return y;
-  const bool noisy = read_rng && dev_.readout.read_sigma > 0.0f;
+void CrossbarArray::matmul_cols(const float* x_cm, int64_t n, float* y,
+                                Rng* read_rng) const {
+  Tensor x_q;
+  if (dev_.readout.dac_bits > 0 && n > 0) {
+    // DAC ranges are per input vector, i.e. per column here.
+    x_q = Tensor({in_, n});
+    std::copy(x_cm, x_cm + in_ * n, x_q.data());
+    for (int64_t i = 0; i < n; ++i)
+      dac_quantize_span(x_q.data() + i, in_, dev_.readout.dac_bits, n);
+    x_cm = x_q.data();
+  }
+  matmul_impl(x_cm, n, /*colmajor=*/true, y, read_rng);
+}
+
+namespace {
+
+// Worker-owned buffers of the batched path, reused across calls so matmul
+// work units never allocate in steady state. One set per thread: a thread
+// runs one work unit at a time (nested parallel_for runs inline).
+struct MatmulScratch {
+  std::vector<float> cur;
+  std::vector<Rng> rngs;
+  std::vector<Rng*> rng_ptrs;
+  exec::Scratch exec;
+};
+
+MatmulScratch& worker_scratch() {
+  thread_local MatmulScratch s;
+  return s;
+}
+
+}  // namespace
+
+void CrossbarArray::matmul_impl(const float* xd, int64_t n, bool colmajor,
+                                float* y, Rng* read_rng) const {
+  std::fill(y, y + n * out_, 0.0f);
+  if (n == 0) return;
+  const bool noisy = reads_noisy(read_rng);
   const uint64_t noise_base = noisy ? read_rng->next_u64() : 0ull;
 
   const int64_t row_block = 64;
   const int64_t nblocks = (n + row_block - 1) / row_block;
   const int64_t ngroups = static_cast<int64_t>(col_groups_.size());
   parallel_for(0, ngroups * nblocks, [&](int64_t lo, int64_t hi) {
-    std::vector<float> cur(static_cast<size_t>(8 * max_tile_cols_));
-    exec::Scratch scratch;
-    std::vector<Rng> rngs;
-    std::vector<Rng*> rng_ptrs;
+    MatmulScratch& s = worker_scratch();
     for (int64_t w = lo; w < hi; ++w) {
       const auto& group = col_groups_[static_cast<size_t>(w / nblocks)];
       const int64_t r0 = (w % nblocks) * row_block;
       const int64_t r1 = std::min(n, r0 + row_block);
       for (size_t t : group) {
         const Placed& p = tiles_[t];
-        Rng* const* row_rngs = nullptr;
+        Rng* const* item_rngs = nullptr;
         if (noisy) {
-          rngs.clear();
-          rng_ptrs.clear();
+          s.rngs.clear();
+          s.rng_ptrs.clear();
           for (int64_t i = r0; i < r1; ++i)
-            rngs.emplace_back(mix64(noise_base ^
-                                    (static_cast<uint64_t>(t) * 0x100000001ull +
-                                     static_cast<uint64_t>(i))));
-          for (auto& r : rngs) rng_ptrs.push_back(&r);
-          row_rngs = rng_ptrs.data();
+            s.rngs.emplace_back(mix64(noise_base ^
+                                      (static_cast<uint64_t>(t) * 0x100000001ull +
+                                       static_cast<uint64_t>(i))));
+          for (auto& r : s.rngs) s.rng_ptrs.push_back(&r);
+          item_rngs = s.rng_ptrs.data();
         }
-        const float* xt = colmajor ? xd + p.row0 * n + r0 : xd + r0 * in_ + p.row0;
-        const int64_t xis = colmajor ? 1 : in_;
-        const int64_t xws = colmajor ? n : 1;
-        p.tile.accumulate_rows(xt, r1 - r0, xis, xws,
-                               y.data() + r0 * out_ + p.col0, out_, row_rngs,
-                               cur.data(), scratch);
+        // Column-major batches keep their orientation end to end: items
+        // (conv output pixels) are contiguous in x, in the kernel's lanes,
+        // and in y's bitline rows.
+        if (colmajor)
+          p.tile.accumulate_rows(xd + p.row0 * n + r0, r1 - r0, 1, n,
+                                 y + p.col0 * n + r0, n, /*y_bitline_major=*/true,
+                                 item_rngs, s.cur, s.exec);
+        else
+          p.tile.accumulate_rows(xd + r0 * in_ + p.row0, r1 - r0, in_, 1,
+                                 y + r0 * out_ + p.col0, out_,
+                                 /*y_bitline_major=*/false, item_rngs, s.cur,
+                                 s.exec);
       }
     }
   }, 1);
-  return y;
 }
 
 Tensor CrossbarArray::effective_weights() const {

@@ -185,21 +185,23 @@ class CrossbarTile {
   void accumulate_row(const float* x, float* y, Rng* read_rng, double* ip,
                       double* in_acc, float* currents) const;
 
-  /// Batched path: accumulates `nitems` input vectors into y rows (stride
-  /// ldy) through the tile's lowered execution target, item-blocked so
-  /// conductance loads amortize across the batch. Input element (item i,
-  /// wordline r) sits at x[i * x_item_stride + r * x_word_stride], which
-  /// covers both row-major batches (item_stride = ld, word_stride = 1) and
-  /// column-major ones like im2col outputs (item_stride = 1, word_stride =
-  /// ld). With a bit-exact target each result row is bit-identical to
-  /// accumulate_matvec (same per-column wordline accumulation order).
-  /// `row_rngs` (nullable) holds one read-noise stream per item;
-  /// `cur_scratch` must hold >= 8 * cols() floats, and `scratch` is the
-  /// calling worker's target scratch.
+  /// Batched path: accumulates `nitems` input vectors into y through the
+  /// tile's lowered execution target, item-blocked so conductance loads
+  /// amortize across the batch. Input element (item i, wordline r) sits at
+  /// x[i * x_item_stride + r * x_word_stride], which covers both row-major
+  /// batches (item_stride = ld, word_stride = 1) and column-major ones like
+  /// im2col outputs (item_stride = 1, word_stride = ld). Result (item i,
+  /// bitline c) accumulates into y[c * ldy + i] when `y_bitline_major`,
+  /// else into y[i * ldy + c]; the current block between kernel and readout
+  /// tail takes the same orientation. With a bit-exact target each result
+  /// is bit-identical to accumulate_matvec (same per-column wordline
+  /// accumulation order, same per-item read-noise draws). `item_rngs`
+  /// (nullable) holds one read-noise stream per item; `cur` (grown on
+  /// demand) and `scratch` are the calling worker's buffers.
   void accumulate_rows(const float* x, int64_t nitems, int64_t x_item_stride,
                        int64_t x_word_stride, float* y, int64_t ldy,
-                       Rng* const* row_rngs, float* cur_scratch,
-                       exec::Scratch& scratch) const;
+                       bool y_bitline_major, Rng* const* item_rngs,
+                       std::vector<float>& cur, exec::Scratch& scratch) const;
 
   /// The effective (perturbed, quantized) weight matrix (rows=in, cols=out).
   Tensor effective_weights() const;
@@ -208,6 +210,13 @@ class CrossbarTile {
   /// Read noise + ADC + scaled accumulation of one current row into y;
   /// shared tail of the scalar and batched paths (exact parity).
   void finish_row(float* currents, float* y, Rng* read_rng) const;
+
+  /// finish_row over a bitline-major block of `nitems` items — current
+  /// (item i, bitline c) at cur[c * nitems + i], result into
+  /// y[c * ldy + i] — with the same per-element arithmetic and the same
+  /// per-item noise draws, vectorized over items.
+  void finish_block(float* cur, int64_t nitems, float* y, int64_t ldy,
+                    Rng* const* item_rngs) const;
 
   /// (Re-)lowers the programmed conductances through the execution target
   /// (after programming or fault injection): the target may precompute
@@ -251,6 +260,13 @@ class CrossbarArray {
   /// The execution target this array was lowered with.
   const exec::Target& target() const { return *target_; }
 
+  /// Whether a read with `read_rng` draws read noise (a stream is given and
+  /// the device has read_sigma > 0); such reads consume the stream, so
+  /// callers sharing one stream must issue them in order.
+  bool reads_noisy(const Rng* read_rng) const {
+    return read_rng && dev_.readout.read_sigma > 0.0f;
+  }
+
   /// y = W_eff · x, with optional read noise if `read_rng` provided and the
   /// device has read_sigma > 0.
   Tensor matvec(const Tensor& x, Rng* read_rng = nullptr) const;
@@ -264,12 +280,19 @@ class CrossbarArray {
   /// given rng state regardless of thread count or row blocking.
   Tensor matmul(const Tensor& x, Rng* read_rng = nullptr) const;
 
-  /// matmul for a column-major batch: X (in, batch) -> Y (batch, out),
-  /// column b of X being one wordline-voltage vector. This is the natural
-  /// layout of im2col outputs, so the conv path skips a transpose and the
-  /// kernel reads contiguous lanes. Same bit-exactness guarantees as
-  /// matmul.
+  /// matmul for a column-major batch: X (in, batch) -> Y (out, batch),
+  /// column b of X being one wordline-voltage vector and column b of Y its
+  /// result. This is the natural layout of im2col inputs and of NCHW
+  /// outputs: for one image, Y is the conv's (out_c, OH*OW) plane as is.
+  /// The kernels put batch items in their SIMD lanes. Same bit-exactness
+  /// and read-noise guarantees as matmul (Y is matmul's result transposed,
+  /// for the same rng state).
   Tensor matmul_cols(const Tensor& x_cm, Rng* read_rng = nullptr) const;
+
+  /// Raw-buffer matmul_cols: x_cm holds in_dim() x n floats (column-major
+  /// batch), y receives out_dim() x n floats (overwritten).
+  void matmul_cols(const float* x_cm, int64_t n, float* y,
+                   Rng* read_rng = nullptr) const;
 
   /// Reconstructs the full effective weight matrix (out, in) for validation.
   Tensor effective_weights() const;
@@ -279,14 +302,16 @@ class CrossbarArray {
   const remap::RemapStats& remap_stats() const { return remap_stats_; }
 
  private:
-  Tensor matmul_impl(const float* xd, int64_t n, bool colmajor, Rng* read_rng) const;
+  /// Shared batched path: y is (n, out) for a row-major x, (out, n) for a
+  /// column-major one; overwritten.
+  void matmul_impl(const float* xd, int64_t n, bool colmajor, float* y,
+                   Rng* read_rng) const;
 
   struct Placed {
     int64_t row0, col0;  // offsets in the (in, out) orientation
     CrossbarTile tile;
   };
   int64_t in_, out_;
-  int64_t max_tile_cols_ = 0;
   const exec::Target* target_ = nullptr;
   RramDeviceParams dev_;
   remap::RemapStats remap_stats_;

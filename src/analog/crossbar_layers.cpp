@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "tensor/threadpool.h"
+
 namespace cn::analog {
 
 CrossbarDense::CrossbarDense(const nn::Dense& src, const RramDeviceParams& dev,
@@ -77,14 +79,27 @@ CrossbarConv2D::CrossbarConv2D(const nn::Conv2D& src, const RramDeviceParams& de
 }
 
 Tensor CrossbarConv2D::forward(const Tensor& x, bool) {
-  return forward_impl(x, /*relu=*/false);
+  return forward_impl(x, /*relu=*/false, /*post_pool=*/nullptr);
 }
 
 Tensor CrossbarConv2D::forward_relu(const Tensor& x) {
-  return forward_impl(x, /*relu=*/true);
+  return forward_impl(x, /*relu=*/true, /*post_pool=*/nullptr);
 }
 
-Tensor CrossbarConv2D::forward_impl(const Tensor& x, bool relu) {
+bool CrossbarConv2D::accepts_post_pool(const nn::PrePool& pool) const {
+  return pool.window > 0 && geom_.out_h() % pool.window == 0 &&
+         geom_.out_w() % pool.window == 0;
+}
+
+Tensor CrossbarConv2D::forward_pooled(const Tensor& x, bool relu,
+                                      const nn::PrePool& pool) {
+  if (!accepts_post_pool(pool))
+    throw std::logic_error(label_ + ": post-pool window does not divide conv output");
+  return forward_impl(x, relu, &pool);
+}
+
+Tensor CrossbarConv2D::forward_impl(const Tensor& x, bool relu,
+                                    const nn::PrePool* post_pool) {
   if (x.rank() != 4 || x.dim(1) != geom_.in_c || x.dim(2) != geom_.in_h ||
       x.dim(3) != geom_.in_w)
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
@@ -93,48 +108,53 @@ Tensor CrossbarConv2D::forward_impl(const Tensor& x, bool relu) {
   const int64_t P = OH * OW;
   const int64_t K2 = geom_.in_c * geom_.k_h * geom_.k_w;
   const int64_t img_in = geom_.in_c * geom_.in_h * geom_.in_w;
+  const int64_t pwin = post_pool ? post_pool->window : 1;
+  const int64_t img_out = out_c_ * (OH / pwin) * (OW / pwin);
   Rng* rng = effective_read_rng();
-  Tensor y({N, out_c_, OH, OW});
-  if (batched_) {
-    // One im2col matrix per image, fed to the crossbar column-major as it
-    // comes (P output pixels = P wordline vectors): whole tile passes
-    // instead of P independent MVMs, with no transpose pass. The staging
-    // tensor is a member so repeated forwards reuse its allocation.
-    if (cols_cm_.rank() != 2 || cols_cm_.dim(0) != K2 || cols_cm_.dim(1) != P)
-      cols_cm_ = Tensor({K2, P});
-    for (int64_t n = 0; n < N; ++n) {
-      im2col(x.data() + n * img_in, geom_, cols_cm_.data());
-      Tensor acts = xbar_->matmul_cols(cols_cm_, rng);  // (P, out_c)
-      float* out = y.data() + n * out_c_ * P;
-      // (v + bias) then max: identical values to bias-add + standalone ReLU.
-      if (relu) {
-        for (int64_t o = 0; o < out_c_; ++o)
-          for (int64_t p = 0; p < P; ++p)
-            out[o * P + p] = std::max(acts[p * out_c_ + o] + bias_[o], 0.0f);
+  Tensor y({N, out_c_, OH / pwin, OW / pwin});
+  // One im2col matrix per image (P output pixels = P wordline vectors,
+  // column-major as im2col writes it). The crossbar returns the image's
+  // (out_c, P) plane directly in NCHW order; with a post-pool it lands in a
+  // per-image scratch plane that is pooled into y.
+  auto run_images = [&](int64_t lo, int64_t hi) {
+    std::vector<float> cols(static_cast<size_t>(K2 * P));
+    std::vector<float> full(post_pool ? static_cast<size_t>(out_c_ * P) : 0);
+    Tensor col({K2});
+    for (int64_t n = lo; n < hi; ++n) {
+      im2col(x.data() + n * img_in, geom_, cols.data());
+      float* out = post_pool ? full.data() : y.data() + n * img_out;
+      if (batched_) {
+        xbar_->matmul_cols(cols.data(), P, out, rng);
       } else {
-        for (int64_t o = 0; o < out_c_; ++o)
-          for (int64_t p = 0; p < P; ++p)
-            out[o * P + p] = acts[p * out_c_ + o] + bias_[o];
+        // Each output pixel: one crossbar MVM over its im2col column.
+        for (int64_t p = 0; p < P; ++p) {
+          for (int64_t k = 0; k < K2; ++k) col[k] = cols[static_cast<size_t>(k * P + p)];
+          const Tensor acts = xbar_->matvec(col, rng);
+          for (int64_t o = 0; o < out_c_; ++o) out[o * P + p] = acts[o];
+        }
       }
+      // (v + bias) then max: identical values to bias-add + standalone ReLU.
+      for (int64_t o = 0; o < out_c_; ++o) {
+        float* plane = out + o * P;
+        const float b = bias_[o];
+        if (relu)
+          for (int64_t p = 0; p < P; ++p) plane[p] = std::max(plane[p] + b, 0.0f);
+        else
+          for (int64_t p = 0; p < P; ++p) plane[p] += b;
+      }
+      if (post_pool)
+        nn::pool_image(full.data(), *post_pool, out_c_, OH / pwin, OW / pwin,
+                       y.data() + n * img_out);
     }
-    return y;
-  }
-  std::vector<float> cols(static_cast<size_t>(K2 * P));
-  Tensor col({K2});
-  for (int64_t n = 0; n < N; ++n) {
-    im2col(x.data() + n * img_in, geom_, cols.data());
-    float* out = y.data() + n * out_c_ * P;
-    // Each output pixel: one crossbar MVM over its im2col column.
-    for (int64_t p = 0; p < P; ++p) {
-      for (int64_t k = 0; k < K2; ++k) col[k] = cols[static_cast<size_t>(k * P + p)];
-      Tensor acts = xbar_->matvec(col, rng);
-      if (relu)
-        for (int64_t o = 0; o < out_c_; ++o)
-          out[o * P + p] = std::max(acts[o] + bias_[o], 0.0f);
-      else
-        for (int64_t o = 0; o < out_c_; ++o) out[o * P + p] = acts[o] + bias_[o];
-    }
-  }
+  };
+  // Images run in parallel, each one's crossbar pass inline on its worker
+  // (one dispatch per forward, not one per image). A noisy read consumes
+  // the layer's stream, so with read noise on the images go in order to
+  // keep their noise realizations.
+  if (xbar_->reads_noisy(rng))
+    run_images(0, N);
+  else
+    parallel_for(0, N, run_images);
   return y;
 }
 

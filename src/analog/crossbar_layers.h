@@ -89,6 +89,12 @@ class CrossbarConv2D final : public nn::Layer {
   /// Fused ReLU epilogue (relu-epilogue pass): the clamp rides the bias-add
   /// write-out. Bitwise-identical to forward + standalone ReLU.
   Tensor forward_relu(const Tensor& x) override;
+  /// Fused post-pool (post-pool pass): each image's conv plane is pooled
+  /// with nn::pool_image as it is written out. Bitwise-identical to forward
+  /// (+ ReLU) + standalone pool layer.
+  bool accepts_post_pool(const nn::PrePool& pool) const override;
+  Tensor forward_pooled(const Tensor& x, bool relu,
+                        const nn::PrePool& pool) override;
   Tensor backward(const Tensor&) override;  // throws: inference only
   std::unique_ptr<nn::Layer> clone() const override;
   std::string kind() const override { return "crossbar_conv2d"; }
@@ -105,13 +111,12 @@ class CrossbarConv2D final : public nn::Layer {
     return owned_read_rng_ ? &*owned_read_rng_ : nullptr;
   }
 
-  Tensor forward_impl(const Tensor& x, bool relu);
+  Tensor forward_impl(const Tensor& x, bool relu, const nn::PrePool* post_pool);
 
   std::shared_ptr<CrossbarArray> xbar_;
   ConvGeom geom_;
   int64_t out_c_;
   Tensor bias_;
-  Tensor cols_cm_;  // per-image im2col staging, reused across forwards
   Rng* read_rng_ = nullptr;
   std::optional<Rng> owned_read_rng_;
   bool batched_ = true;

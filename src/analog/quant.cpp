@@ -21,15 +21,16 @@ void quantize_tensor(Tensor& t, float lo, float hi, int levels) {
 
 void dac_quantize(Tensor& x, int bits) { dac_quantize_span(x.data(), x.size(), bits); }
 
-void dac_quantize_span(float* x, int64_t n, int bits) {
+void dac_quantize_span(float* x, int64_t n, int bits, int64_t stride) {
   if (bits <= 0 || n == 0) return;
   float lo = x[0], hi = x[0];
   for (int64_t i = 1; i < n; ++i) {
-    lo = std::min(lo, x[i]);
-    hi = std::max(hi, x[i]);
+    lo = std::min(lo, x[i * stride]);
+    hi = std::max(hi, x[i * stride]);
   }
   if (hi - lo < 1e-12f) return;
-  for (int64_t i = 0; i < n; ++i) x[i] = quantize_uniform(x[i], lo, hi, 1 << bits);
+  for (int64_t i = 0; i < n; ++i)
+    x[i * stride] = quantize_uniform(x[i * stride], lo, hi, 1 << bits);
 }
 
 void adc_quantize(Tensor& currents, int bits, float full_scale) {

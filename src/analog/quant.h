@@ -17,9 +17,11 @@ void quantize_tensor(Tensor& t, float lo, float hi, int levels);
 /// observed [min, max] range. bits <= 0 disables quantization.
 void dac_quantize(Tensor& x, int bits);
 
-/// dac_quantize over a raw span; the batched crossbar path quantizes each
-/// input row independently so it stays equivalent to per-vector matvec.
-void dac_quantize_span(float* x, int64_t n, int bits);
+/// dac_quantize over a raw span of n elements `stride` apart; the batched
+/// crossbar path quantizes each input vector (a row of a row-major batch, a
+/// column of a column-major one) independently so it stays equivalent to
+/// per-vector matvec.
+void dac_quantize_span(float* x, int64_t n, int bits, int64_t stride = 1);
 
 /// ADC model: quantizes accumulated bitline currents to `bits` resolution
 /// over [-full_scale, full_scale]. bits <= 0 disables quantization.

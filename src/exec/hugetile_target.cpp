@@ -36,10 +36,11 @@ class HugeTileExec final : public TileExec {
   explicit HugeTileExec(const TileView& t)
       : gp_(t.g_pos), gn_(t.g_neg), rows_(t.rows), cols_(t.cols) {}
 
-  int64_t row_block() const override { return 4; }
+  int64_t row_block(bool) const override { return 4; }
 
   void currents(const float* x, int64_t nitems, int64_t xis, int64_t xws,
-                float* cur, int64_t ldcur, Scratch& scratch) const override {
+                float* cur, int64_t cis, int64_t ccs,
+                Scratch& scratch) const override {
     const int64_t chunk = std::min(kColChunk, cols_);
     double* acc = scratch.doubles(static_cast<size_t>(2 * nitems * chunk));
     for (int64_t c0 = 0; c0 < cols_; c0 += chunk) {
@@ -61,9 +62,9 @@ class HugeTileExec final : public TileExec {
       for (int64_t i = 0; i < nitems; ++i) {
         const double* ap = acc + 2 * i * cc;
         const double* an = ap + cc;
-        float* out = cur + i * ldcur + c0;
+        float* out = cur + i * cis + c0 * ccs;
         for (int64_t c = 0; c < cc; ++c)
-          out[c] = static_cast<float>(ap[c] - an[c]);
+          out[c * ccs] = static_cast<float>(ap[c] - an[c]);
       }
     }
   }

@@ -50,18 +50,19 @@ class Int8TileExec final : public TileExec {
                                                /*stride=*/1, qw_.data());
   }
 
-  int64_t row_block() const override { return 8; }
+  int64_t row_block(bool) const override { return 8; }
 
   void currents(const float* x, int64_t nitems, int64_t xis, int64_t xws,
-                float* cur, int64_t ldcur, Scratch& scratch) const override {
+                float* cur, int64_t cis, int64_t ccs,
+                Scratch& scratch) const override {
     int8_t* qx = scratch.bytes(static_cast<size_t>(rows_));
     int32_t* acc = scratch.ints(static_cast<size_t>(cols_));
     for (int64_t i = 0; i < nitems; ++i) {
-      float* out = cur + i * ldcur;
+      float* out = cur + i * cis;
       const float x_scale =
           analog::quantize_symmetric_int8(x + i * xis, rows_, xws, qx);
       if (x_scale == 0.0f || w_scale_ == 0.0f) {
-        for (int64_t c = 0; c < cols_; ++c) out[c] = 0.0f;
+        for (int64_t c = 0; c < cols_; ++c) out[c * ccs] = 0.0f;
         continue;
       }
       for (int64_t c = 0; c < cols_; ++c) acc[c] = 0;
@@ -73,7 +74,7 @@ class Int8TileExec final : public TileExec {
       }
       const float dq = w_scale_ * x_scale;
       for (int64_t c = 0; c < cols_; ++c)
-        out[c] = static_cast<float>(acc[c]) * dq;
+        out[c * ccs] = static_cast<float>(acc[c]) * dq;
     }
   }
 

@@ -21,7 +21,7 @@
 //                 (bit-exact)
 //
 // The lowering seam is deliberately narrow — conductance arrays in, current
-// rows out — so an offload target (GPU, accelerator API) can fill it without
+// blocks out — so an offload target (GPU, accelerator API) can fill it without
 // the analog layer changing: implement Target::lower, call register_target.
 //
 // Bit-exactness contract: a Target reporting bit_exact() must produce
@@ -63,6 +63,10 @@ struct Scratch {
     if (d_.size() < n) d_.resize(n);
     return d_.data();
   }
+  float* floats(size_t n) {
+    if (f32_.size() < n) f32_.resize(n);
+    return f32_.data();
+  }
   int32_t* ints(size_t n) {
     if (i32_.size() < n) i32_.resize(n);
     return i32_.data();
@@ -74,6 +78,7 @@ struct Scratch {
 
  private:
   std::vector<double> d_;
+  std::vector<float> f32_;
   std::vector<int32_t> i32_;
   std::vector<int8_t> i8_;
 };
@@ -88,17 +93,32 @@ class TileExec {
   /// Differential bitline currents for a block of input vectors: input
   /// element (item i, wordline r) sits at x[i * x_item_stride +
   /// r * x_word_stride]; output current (item i, bitline c) is written to
-  /// cur[i * ldcur + c]. nitems never exceeds row_block(). The caller
-  /// applies read noise / ADC / weight scaling afterwards (shared periphery
-  /// tail — targets only compute raw current sums).
+  /// cur[i * cur_item_stride + c * cur_col_stride]. The output stride pair
+  /// lets the caller pick either orientation of the current block:
+  /// item-major (cur_col_stride == 1, the dense path) or bitline-major
+  /// (cur_item_stride == 1, the conv path, whose rows then line up with
+  /// NCHW output planes). nitems never exceeds row_block() for the same
+  /// input layout. The caller applies read noise / ADC / weight scaling
+  /// afterwards (shared periphery tail — targets only compute raw current
+  /// sums).
+  ///
+  /// Lane orientation follows the input layout: an item-contiguous input
+  /// (x_item_stride == 1, column-major im2col batches) lets a target put
+  /// items (output pixels) in its SIMD lanes, any other layout puts
+  /// bitlines there. Either way each (item, bitline) sum keeps the scalar
+  /// reference's arithmetic (see the contract in the header comment).
   virtual void currents(const float* x, int64_t nitems, int64_t x_item_stride,
-                        int64_t x_word_stride, float* cur, int64_t ldcur,
+                        int64_t x_word_stride, float* cur,
+                        int64_t cur_item_stride, int64_t cur_col_stride,
                         Scratch& scratch) const = 0;
 
-  /// Preferred item-block size for currents() calls, in [1, 8] (the caller's
-  /// current scratch holds 8 rows). Blocking never changes results, only
-  /// register/cache pressure.
-  virtual int64_t row_block() const = 0;
+  /// Preferred item-block size (>= 1, no upper bound) for currents() calls
+  /// on an input whose items are contiguous (`item_contiguous`, i.e.
+  /// x_item_stride == 1) or not. The caller sizes its current block to
+  /// row_block * cols. Blocking never changes results, only register/cache
+  /// pressure: bitline-lane kernels want a handful of items, pixel-lane
+  /// kernels a multiple of their lane width.
+  virtual int64_t row_block(bool item_contiguous) const = 0;
 };
 
 /// One execution strategy for the batched crossbar path.

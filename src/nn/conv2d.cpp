@@ -1,7 +1,6 @@
 #include "nn/conv2d.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <stdexcept>
 
@@ -9,11 +8,6 @@
 
 namespace cn::nn {
 
-namespace {
-
-// Pools one image (C, OH*win, OW*win) -> (C, OH, OW) into `out`, with
-// arithmetic identical to MaxPool2D / AvgPool2D forward (same accumulation
-// order, same 1/(win*win) factor), so the pool-fusion pass is bitwise-exact.
 void pool_image(const float* img, const PrePool& p, int64_t C, int64_t OH,
                 int64_t OW, float* out) {
   const int64_t win = p.window;
@@ -49,8 +43,6 @@ void pool_image(const float* img, const PrePool& p, int64_t C, int64_t OH,
     }
   }
 }
-
-}  // namespace
 
 Conv2D::Conv2D(int64_t in_c, int64_t out_c, int64_t kernel, int64_t stride,
                int64_t pad, int64_t in_h, int64_t in_w, std::string label)
@@ -151,19 +143,23 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
   const Tensor& W = effective_weight();
   const float* pw = W.data();
 
-  // Per-thread gradient accumulators, reduced at the end.
-  const unsigned T = ThreadPool::global().size();
-  std::vector<Tensor> dw_acc(T, Tensor(w_.value.shape()));
-  std::vector<Tensor> db_acc(T, Tensor(b_.value.shape()));
-  std::atomic<unsigned> tid_counter{0};
+  // Per-chunk gradient accumulators, reduced in chunk order. The batch is
+  // split into one contiguous chunk per pool thread and each chunk owns its
+  // slot, so the float summation order depends only on N and the pool size,
+  // never on which thread picks up which chunk: repeated trainings are
+  // bit-identical.
+  const int64_t nchunks = std::max<int64_t>(
+      1, std::min<int64_t>(ThreadPool::global().size(), N));
+  const int64_t chunk = (N + nchunks - 1) / nchunks;
+  std::vector<Tensor> dw_acc(static_cast<size_t>(nchunks), Tensor(w_.value.shape()));
+  std::vector<Tensor> db_acc(static_cast<size_t>(nchunks), Tensor(b_.value.shape()));
 
-  parallel_for(0, N, [&](int64_t lo, int64_t hi) {
-    const unsigned tid = tid_counter.fetch_add(1) % T;
-    float* dw = dw_acc[tid].data();
-    float* db = db_acc[tid].data();
+  parallel_for(0, nchunks, [&](int64_t clo, int64_t chi) {
     std::vector<float> cols(static_cast<size_t>(K2 * Nd));
     std::vector<float> dcols(static_cast<size_t>(K2 * Nd));
-    for (int64_t n = lo; n < hi; ++n) {
+    for (int64_t n = clo * chunk; n < std::min(N, chi * chunk); ++n) {
+      float* dw = dw_acc[static_cast<size_t>(n / chunk)].data();
+      float* db = db_acc[static_cast<size_t>(n / chunk)].data();
       im2col(x_cache_.data() + n * img_in, geom_, cols.data());
       const float* gout = grad_out.data() + n * img_out;
       // dW += gout(out_c, Nd) * cols^T(Nd, K2)
@@ -196,7 +192,7 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
     }
   });
 
-  for (unsigned t = 0; t < T; ++t) {
+  for (size_t t = 0; t < dw_acc.size(); ++t) {
     // dw_acc holds dL/dW_eff; with variation active W_eff = W ∘ f,
     // so chain dL/dW = dL/dW_eff ∘ f.
     if (var_active_) mul_inplace(dw_acc[t], factors_);

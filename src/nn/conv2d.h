@@ -6,16 +6,12 @@
 
 namespace cn::nn {
 
-/// A pooling stage fused ahead of a convolution's im2col producer (the
-/// pool-fusion pass, nn/fusion.h): each input image is pooled into a
-/// per-thread staging buffer with arithmetic identical to MaxPool2D /
-/// AvgPool2D, then convolved from the staging buffer — the pooled
-/// intermediate tensor is never materialized.
-struct PrePool {
-  enum class Kind { kMax, kAvg };
-  Kind kind = Kind::kAvg;
-  int64_t window = 0;  // square window == stride, matching the pool layers
-};
+/// Pools one image (C, OH*win, OW*win) -> (C, OH, OW) into `out`, with
+/// arithmetic identical to MaxPool2D / AvgPool2D forward (same accumulation
+/// order, same 1/(win*win) factor) — what keeps every fused pooling stage
+/// (pre-pool, post-pool, the crossbar conv's post-pool) bitwise-exact.
+void pool_image(const float* img, const PrePool& p, int64_t C, int64_t OH,
+                int64_t OW, float* out);
 
 /// Convolution with kernel W stored as (out_c, in_c*kh*kw) and bias (out_c).
 ///
@@ -44,6 +40,15 @@ class Conv2D final : public Layer, public PerturbableWeight {
   Tensor forward_fused(const Tensor& x, const float* w, const float* b,
                        const PrePool* pre_pool, bool relu,
                        const PrePool* post_pool = nullptr);
+
+  bool accepts_post_pool(const PrePool& pool) const override {
+    return pool.window > 0 && out_h() % pool.window == 0 &&
+           out_w() % pool.window == 0;
+  }
+  Tensor forward_pooled(const Tensor& x, bool relu, const PrePool& pool) override {
+    return forward_fused(x, live_weight().data(), b_.value.data(),
+                         /*pre_pool=*/nullptr, relu, &pool);
+  }
 
   /// The weight tensor forward() would use right now: refreshes w ∘ f when
   /// variation factors are active. Used by the fused graph executor.

@@ -122,8 +122,9 @@ PrePool pool_params(const GraphNode& node) {
   return pp;
 }
 
-// Pool consuming a digital conv's output (directly, or through skipped
-// relu/bn/dropout nodes) pools inside that conv's kernel epilogue. Runs
+// Pool consuming a conv's output — digital or crossbar (any layer whose
+// accepts_post_pool agrees), directly or through skipped relu/bn/dropout
+// nodes — pools as that conv writes its output. Runs
 // before pass_fuse_pool so the upstream conv — whose full-resolution output
 // the rewrite elides — wins over the downstream one.
 int64_t pass_fuse_post_pool(LayerGraph& g) {
@@ -133,13 +134,9 @@ int64_t pass_fuse_post_pool(LayerGraph& g) {
         node.skip)
       continue;
     GraphNode* p = live_producer(g, node);
-    if (!p || p->op != OpKind::kConv2D || p->post_pool.window > 0) continue;
-    auto* conv = dynamic_cast<Conv2D*>(p->layer);
-    if (!conv) continue;
+    if (!p || p->post_pool.window > 0) continue;
     const PrePool pp = pool_params(node);
-    if (pp.window <= 0 || conv->out_h() % pp.window != 0 ||
-        conv->out_w() % pp.window != 0)
-      continue;
+    if (pp.window <= 0 || !p->layer->accepts_post_pool(pp)) continue;
     p->post_pool = pp;
     node.skip = true;
     ++n;
@@ -268,6 +265,8 @@ Tensor FusedPlan::run_node(GraphNode& n, const Tensor& x) {
       return d->forward_fused(x, d->live_weight(), d->bias().value.data(),
                               n.relu_epilogue);
   }
+  if (n.post_pool.window > 0)
+    return n.layer->forward_pooled(x, n.relu_epilogue, n.post_pool);
   if (n.relu_epilogue) return n.layer->forward_relu(x);
   return n.layer->forward(x, /*train=*/false);
 }

@@ -13,12 +13,14 @@
 //   2. relu-epilogue  relu following a matmul-bearing op (conv2d, dense,
 //                     crossbar_conv2d, crossbar_dense) becomes a branchless
 //                     max(0,·) in that op's bias epilogue. EXACT.
-//   3. post-pool      max/avg pooling consuming a conv2d's output (directly,
-//                     or through an already-fused relu/bn) pools inside the
-//                     conv kernel from a per-image scratch buffer — the
+//   3. post-pool      max/avg pooling consuming a conv2d's or a
+//                     crossbar_conv2d's output (directly, or through an
+//                     already-fused relu/bn) pools inside the conv's
+//                     write-out from a per-image scratch buffer — the
 //                     full-resolution feature map is never materialized.
-//                     Guarded on the window dividing the conv output.
-//                     EXACT: bitwise-identical.
+//                     Guarded on the window dividing the conv output
+//                     (Layer::accepts_post_pool). EXACT: bitwise-identical
+//                     (both convs pool with nn::pool_image).
 //   4. pool-fuse      max/avg pooling feeding a conv2d moves into the conv's
 //                     im2col producer (per-image staging buffer, identical
 //                     pooling arithmetic). Mops up pools post-pool could not

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,17 @@ class PerturbableWeight {
   virtual int64_t weight_count() const = 0;
   /// Owning-layer label, for reports.
   virtual const std::string& site_label() const = 0;
+};
+
+/// A pooling stage fused into a neighbouring op by the layer-graph fusion
+/// passes (nn/fusion.h): ahead of a conv's im2col producer (pool-fuse) or on
+/// a conv's output as it is written (post-pool). Pooling arithmetic is
+/// identical to MaxPool2D / AvgPool2D (nn::pool_image), so both rewrites are
+/// bitwise-exact.
+struct PrePool {
+  enum class Kind { kMax, kAvg };
+  Kind kind = Kind::kAvg;
+  int64_t window = 0;  // square window == stride, matching the pool layers
 };
 
 class Layer {
@@ -100,6 +112,19 @@ class Layer {
     const int64_t n = y.size();
     for (int64_t i = 0; i < n; ++i) d[i] = std::max(d[i], 0.0f);
     return y;
+  }
+
+  /// Whether forward_pooled can apply `pool` to this layer's output (the
+  /// post-pool fusion pass asks before rewriting; the window must divide
+  /// the output exactly).
+  virtual bool accepts_post_pool(const PrePool&) const { return false; }
+
+  /// Eval-mode forward with `pool` applied as the output is written, after
+  /// the optional ReLU epilogue: bitwise pool(forward_relu(x)) or
+  /// pool(forward(x, false)) without materializing the full-resolution
+  /// output. Only called when accepts_post_pool(pool) holds.
+  virtual Tensor forward_pooled(const Tensor&, bool /*relu*/, const PrePool&) {
+    throw std::logic_error(label_ + ": layer does not support a fused post-pool");
   }
 
  protected:

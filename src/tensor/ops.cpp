@@ -278,6 +278,17 @@ void im2col(const float* img, const ConvGeom& g, float* cols) {
           }
           const float* src = chan + ih * g.in_w;
           float* dst = out + oh * OW;
+          if (g.stride == 1) {
+            // Unit stride: the valid outputs read one contiguous input span;
+            // only the padded edges are zero-filled.
+            const int64_t lo = std::clamp<int64_t>(g.pad - kw, 0, OW);
+            const int64_t hi = std::clamp<int64_t>(g.in_w + g.pad - kw, lo, OW);
+            std::fill(dst, dst + lo, 0.0f);
+            if (hi > lo)
+              std::copy(src + lo + kw - g.pad, src + hi + kw - g.pad, dst + lo);
+            std::fill(dst + hi, dst + OW, 0.0f);
+            continue;
+          }
           for (int64_t ow = 0; ow < OW; ++ow) {
             const int64_t iw = ow * g.stride + kw - g.pad;
             dst[ow] = (iw < 0 || iw >= g.in_w) ? 0.0f : src[iw];

@@ -19,6 +19,9 @@
 #include "exec_testutil.h"
 #include "faultsim/fault_models.h"
 #include "models/lenet.h"
+#include "nn/activations.h"
+#include "nn/fusion.h"
+#include "nn/pooling.h"
 #include "tensor/ops.h"
 
 namespace cn::analog {
@@ -58,7 +61,8 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
     CrossbarArray xbar(w, dev, prog, /*tile=*/8, faults, nullptr,
                        t);  // multiple tiles both ways
     Tensor y_batch = xbar.matmul(x);
-    Tensor y_cols = xbar.matmul_cols(x_cm);
+    // matmul_cols returns (out, batch); transposed back to matmul's layout.
+    Tensor y_cols = transpose(xbar.matmul_cols(x_cm));
     Tensor xi({kIn});
     for (int64_t n = 0; n < kBatch; ++n) {
       std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
@@ -183,7 +187,7 @@ TEST(CrossbarExec, ForcedSimdDispatchLevelsAreBitIdentical) {
     ASSERT_EQ(current_simd_level(), level);
     ++tested;
     const Tensor y_batch = xbar.matmul(x);
-    const Tensor y_cols = xbar.matmul_cols(x_cm);
+    const Tensor y_cols = transpose(xbar.matmul_cols(x_cm));  // (batch, out)
     for (int64_t n = 0; n < kBatch; ++n) {
       const std::string row = "level " + std::to_string(static_cast<int>(level)) +
                               " row " + std::to_string(n);
@@ -318,6 +322,186 @@ TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
   for (int64_t i = 0; i < yc.size(); ++i)
     diff += std::abs(static_cast<double>(yc[i]) - ye[i]);
   EXPECT_GT(diff, 0.0);
+}
+
+// ---------- CrossbarConv2D: pixel-lane batched path == per-column matvec ----
+
+struct ConvCase {
+  const char* name;
+  int64_t in_c, out_c, k, stride, pad, hw;  // square input, square kernel
+};
+
+// Output pixels per image P = out_h * out_w, chosen around the kernels'
+// lane widths (2 / 4 / 16): 1 and 9 are all tail, 100 is 6 full AVX-512
+// blocks plus a 4-item tail (LeNet's conv2 shape), 49 mixes strides.
+const ConvCase kConvCases[] = {
+    {"P=1", 2, 5, 3, 1, 0, 3},
+    {"P=9", 3, 7, 3, 1, 0, 5},
+    {"P=100 lenet-conv2", 6, 16, 5, 1, 0, 14},
+    {"P=49 stride 2", 2, 6, 3, 2, 1, 14},
+};
+
+nn::Conv2D make_conv(const ConvCase& cc, uint64_t seed) {
+  nn::Conv2D conv(cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad, cc.hw, cc.hw, "conv");
+  Rng rng(seed);
+  rng.fill_normal(conv.weight().value, 0.0f, 0.4f);
+  rng.fill_normal(conv.bias().value, 0.0f, 0.1f);
+  return conv;
+}
+
+Tensor conv_input(const ConvCase& cc, uint64_t seed, int64_t batch = 2) {
+  Tensor x({batch, cc.in_c, cc.hw, cc.hw});
+  Rng rng(seed);
+  rng.fill_normal(x, 0.0f, 1.0f);
+  return x;
+}
+
+// For every bit-exact target this host can execute: a CrossbarConv2D's
+// batched forward (pixel lanes, bitline-major readout) must equal its own
+// per-column matvec forward bit for bit, with and without the ReLU epilogue.
+// `tile` below K2 and out_c splits the array into several row tiles and
+// column groups.
+void expect_conv_paths_bit_identical(const ConvCase& cc, const RramDeviceParams& dev,
+                                     const FaultList* faults,
+                                     const remap::RemapParams* remap,
+                                     uint64_t seed, int64_t tile,
+                                     const std::string& what) {
+  const nn::Conv2D conv = make_conv(cc, seed);
+  const Tensor x = conv_input(cc, seed + 1);
+  int targets_run = 0;
+  for (const exec::Target* t : exec::registered_targets()) {
+    if (!t->bit_exact() || !t->available()) continue;
+    ++targets_run;
+    Rng prog(seed + 2);
+    CrossbarConv2D xc(conv, dev, prog, tile, faults, remap, t);
+    const Tensor batched = xc.forward(x, false);
+    const Tensor batched_relu = xc.forward_relu(x);
+    xc.set_batched(false);
+    const std::string tag = what + " " + cc.name + " [" + t->name() + "]";
+    testutil::expect_bitwise_equal(batched, xc.forward(x, false), tag);
+    testutil::expect_bitwise_equal(batched_relu, xc.forward_relu(x), tag + " relu");
+  }
+  // simd, its pinned generic level and huge-tile are always executable.
+  ASSERT_GE(targets_run, 3) << what;
+}
+
+TEST(CrossbarConvParity, PixelCountsAroundTheLaneWidth) {
+  RramDeviceParams dev = ideal();
+  dev.program_sigma = 0.2f;
+  uint64_t seed = 1000;
+  for (const ConvCase& cc : kConvCases) {
+    expect_conv_paths_bit_identical(cc, dev, nullptr, nullptr, seed += 10,
+                                    /*tile=*/128, "one tile");
+    // K2 > tile (several row tiles) and out_c > tile (several column groups).
+    expect_conv_paths_bit_identical(cc, dev, nullptr, nullptr, seed += 10,
+                                    /*tile=*/4, "tiled");
+  }
+}
+
+TEST(CrossbarConvParity, EveryFaultModelWithRemapOnAndOff) {
+  RramDeviceParams dev = ideal();
+  dev.program_sigma = 0.15f;
+  const faultsim::FaultSpec specs[] = {faultsim::stuck_at(0.05), faultsim::drift(100.0),
+                                       faultsim::ir_drop(0.1), faultsim::thermal(420.0)};
+  remap::RemapParams remap_on;
+  remap_on.enabled = true;
+  const ConvCase& cc = kConvCases[2];
+  uint64_t seed = 2000;
+  for (const faultsim::FaultSpec& spec : specs) {
+    const FaultList list = spec.list();
+    expect_conv_paths_bit_identical(cc, dev, &list, nullptr, seed += 10, /*tile=*/64,
+                                    spec.kind + " remap off");
+    expect_conv_paths_bit_identical(cc, dev, &list, &remap_on, seed += 10, /*tile=*/64,
+                                    spec.kind + " remap on");
+  }
+}
+
+TEST(CrossbarConvParity, AdcAndDacPeriphery) {
+  RramDeviceParams dev = ideal();
+  dev.program_sigma = 0.15f;
+  dev.conductance_levels = 16;
+  dev.readout.adc_bits = 6;
+  dev.readout.dac_bits = 5;
+  uint64_t seed = 3000;
+  for (const ConvCase& cc : kConvCases)
+    expect_conv_paths_bit_identical(cc, dev, nullptr, nullptr, seed += 10, /*tile=*/8,
+                                    "adc+dac");
+}
+
+TEST(CrossbarConvParity, ReadNoiseDrawsMatchTheRowMajorBatchedPath) {
+  // With read noise on, the batched path derives one stream per (tile, item)
+  // from a per-call draw — by design not matvec's single sequential stream
+  // — so the reference here is the row-major batched path (bitline lanes,
+  // item-major readout), fed each image's transposed im2col matrix from an
+  // identically seeded rng: every pixel must see the same noise draws in the
+  // same bitline order.
+  RramDeviceParams dev = ideal();
+  dev.program_sigma = 0.1f;
+  dev.readout.read_sigma = 0.1f;
+  dev.readout.adc_bits = 8;
+  dev.readout.dac_bits = 6;
+  for (const ConvCase& cc : kConvCases) {
+    nn::Conv2D conv = make_conv(cc, 4000);
+    const Tensor x = conv_input(cc, 4001);
+    const ConvGeom g = conv.geom();
+    const int64_t P = g.out_h() * g.out_w(), K2 = g.in_c * g.k_h * g.k_w;
+    for (const exec::Target* t : exec::registered_targets()) {
+      if (!t->bit_exact() || !t->available()) continue;
+      Rng prog(4002);
+      CrossbarConv2D xc(conv, dev, prog, /*tile=*/8, nullptr, nullptr, t);
+      Rng ra(77), rb(77);
+      xc.set_read_rng(&ra);
+      const Tensor y = xc.forward(x, false);
+
+      Tensor ref(y.shape());
+      Tensor cols({K2, P});
+      for (int64_t n = 0; n < x.dim(0); ++n) {
+        im2col(x.data() + n * g.in_c * g.in_h * g.in_w, g, cols.data());
+        const Tensor acts = xc.array().matmul(transpose(cols), &rb);  // (P, out_c)
+        for (int64_t o = 0; o < cc.out_c; ++o)
+          for (int64_t p = 0; p < P; ++p)
+            ref[(n * cc.out_c + o) * P + p] = acts[p * cc.out_c + o] + conv.bias().value[o];
+      }
+      testutil::expect_bitwise_equal(y, ref, std::string(cc.name) + " [" + t->name() + "]");
+    }
+  }
+}
+
+TEST(CrossbarConvParity, PostPoolFusionMatchesTheUnfusedPlan) {
+  // conv -> relu -> pool on a crossbar chip: the fused plan pools each image
+  // plane inside the crossbar conv's write-out and must equal the plain
+  // layer loop bit for bit, for max and avg pooling.
+  struct FusionReset {
+    ~FusionReset() { nn::reset_fusion_enabled(); }
+  } reset;
+  RramDeviceParams dev = ideal();
+  dev.program_sigma = 0.2f;
+  const ConvCase cc{"P=100", 6, 16, 5, 1, 0, 14};
+  const nn::Conv2D conv = make_conv(cc, 5000);
+  const Tensor x = conv_input(cc, 5001, /*batch=*/3);
+  for (const bool avg : {false, true}) {
+    for (const exec::Target* t : exec::registered_targets()) {
+      if (!t->available()) continue;
+      Rng prog(5002);
+      nn::Sequential chip("chip");
+      chip.add(std::make_unique<CrossbarConv2D>(conv, dev, prog, /*tile=*/64, nullptr,
+                                                nullptr, t));
+      chip.add(std::make_unique<nn::ReLU>());
+      if (avg)
+        chip.add(std::make_unique<nn::AvgPool2D>(2));
+      else
+        chip.add(std::make_unique<nn::MaxPool2D>(2));
+      nn::FusedPlan plan(chip);
+      EXPECT_EQ(plan.stats().post_pools_fused, 1) << t->name();
+      EXPECT_EQ(plan.stats().relu_fused, 1) << t->name();
+      nn::set_fusion_enabled(false);
+      const Tensor unfused = chip.forward(x, false);
+      const Tensor fused = plan.execute(x);
+      testutil::expect_bitwise_equal(fused, unfused,
+                                     std::string(avg ? "avg" : "max") + " [" +
+                                         t->name() + "]");
+    }
+  }
 }
 
 // Digital-agreement tolerance: loose enough for the ambient target's int8

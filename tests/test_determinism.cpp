@@ -1,17 +1,22 @@
 // Run-to-run determinism, promoted into tier-1 from bench_faultsim's
 // asserts (bench binaries don't run under ctest): a repeated campaign and a
 // repeated ChipFarm Monte-Carlo must reproduce byte-identical results —
-// every per-chip accuracy sample and the emitted JSON report. Untrained
-// models keep this fast; determinism does not care about accuracy.
+// every per-chip accuracy sample and the emitted JSON report — and a
+// repeated training run on the multi-threaded pool must reproduce every
+// weight bit for bit. Untrained models keep the evaluation cases fast;
+// determinism does not care about accuracy.
+#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/trainer.h"
 #include "data/synthetic.h"
 #include "faultsim/campaign.h"
 #include "models/lenet.h"
 #include "runtime/chip_farm.h"
 #include "runtime/mc_engine.h"
+#include "tensor/threadpool.h"
 
 namespace cn {
 namespace {
@@ -126,6 +131,37 @@ TEST(Determinism, FactorFarmMcRerunIsBitIdentical) {
   ASSERT_EQ(a.samples.size(), 4u);
   for (size_t s = 0; s < a.samples.size(); ++s)
     ASSERT_EQ(a.samples[s], b.samples[s]) << "chip " << s;
+}
+
+TEST(Determinism, ConvTrainingRerunIsBitIdentical) {
+  // Conv2D::backward reduces per-chunk gradient slots in chunk order, so
+  // training must not depend on which pool thread ran which chunk. Batches
+  // of 16 split across every pool thread.
+  ASSERT_GE(ThreadPool::global().size(), 1u);
+  data::DigitsSpec spec;
+  spec.train_count = 96;
+  spec.test_count = 16;
+  const data::SplitDataset ds = data::make_digits(spec);
+  auto run = [&]() {
+    Rng rng(21);
+    nn::Sequential m = models::lenet5(1, 28, 10, rng);
+    core::TrainConfig cfg;
+    cfg.epochs = 2;
+    cfg.batch_size = 16;
+    core::train(m, ds.train, ds.test, cfg);
+    return m;
+  };
+  nn::Sequential a = run();
+  nn::Sequential b = run();
+  const std::vector<nn::Param*> pa = a.params(), pb = b.params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    const Tensor& wa = pa[i]->value;
+    const Tensor& wb = pb[i]->value;
+    ASSERT_TRUE(wa.same_shape(wb)) << pa[i]->name;
+    EXPECT_EQ(std::memcmp(wa.data(), wb.data(), sizeof(float) * wa.size()), 0)
+        << pa[i]->name << " differs between identical training runs";
+  }
 }
 
 }  // namespace

@@ -94,11 +94,11 @@ class NullExec : public exec::TileExec {
  public:
   explicit NullExec(int64_t cols) : cols_(cols) {}
   void currents(const float*, int64_t nitems, int64_t, int64_t, float* cur,
-                int64_t ldcur, exec::Scratch&) const override {
+                int64_t cis, int64_t ccs, exec::Scratch&) const override {
     for (int64_t i = 0; i < nitems; ++i)
-      for (int64_t c = 0; c < cols_; ++c) cur[i * ldcur + c] = 0.0f;
+      for (int64_t c = 0; c < cols_; ++c) cur[i * cis + c * ccs] = 0.0f;
   }
-  int64_t row_block() const override { return 8; }
+  int64_t row_block(bool) const override { return 8; }
 
  private:
   int64_t cols_;

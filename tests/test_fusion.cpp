@@ -396,7 +396,8 @@ TEST(FusionParity, RandomizedDigitalGraphSweep) {
 
 TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
   // Crossbar lowering keeps bn standalone (conductances are programmed, not
-  // re-scalable), so fused vs unfused on a chip is bitwise for every target
+  // re-scalable) and pools a crossbar conv's output as it is written
+  // (post-pool), so fused vs unfused on a chip is bitwise for every target
   // — including the approximate int8 one, which is merely the same
   // approximation on both sides.
   FusionGuard guard;
@@ -405,6 +406,7 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
   dev.g_max = 1e-4f;
   dev.program_sigma = 0.1f;
   int targets_run = 0;
+  int64_t crossbar_post_pools = 0;
   for (const uint64_t seed : {3u, 8u}) {
     testutil::RandomModelSpec spec;
     spec.seed = seed;
@@ -425,11 +427,13 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
       nn::FusedPlan plan(chip);
       EXPECT_EQ(plan.stats().bn_folded, 0) << t->name();
       EXPECT_EQ(plan.stats().pools_fused, 0) << t->name();
-      EXPECT_EQ(plan.stats().post_pools_fused, 0) << t->name();
+      crossbar_post_pools += plan.stats().post_pools_fused;
     }
   }
   // simd, simd-generic, huge-tile and int8 are always executable.
   EXPECT_GE(targets_run, 8);
+  // The sweep exercised the crossbar post-pool write-out.
+  EXPECT_GT(crossbar_post_pools, 0);
 
   // Pinned SIMD dispatch (the simd target's generic lane) preserves parity.
   testutil::RandomModelSpec spec;

@@ -374,7 +374,7 @@ TEST(RemapArray, MatmulAndMatvecStayBitIdenticalUnderRemap) {
   Tensor x_cm({kIn, kBatch});
   for (int64_t n = 0; n < kBatch; ++n)
     for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
-  const Tensor y_cols = xbar.matmul_cols(x_cm);
+  const Tensor y_cols = transpose(xbar.matmul_cols(x_cm));  // (batch, out)
   Tensor xi({kIn});
   for (int64_t n = 0; n < kBatch; ++n) {
     std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());

@@ -156,7 +156,7 @@ TEST(CrossbarMatmul, MatchesMatvecExactlyUnderQuantization) {
   Tensor x_cm({20, 5});  // column-major variant (conv im2col layout)
   for (int64_t n = 0; n < 5; ++n)
     for (int64_t k = 0; k < 20; ++k) x_cm[k * 5 + n] = x[n * 20 + k];
-  Tensor y_cols = xbar.matmul_cols(x_cm);
+  Tensor y_cols = transpose(xbar.matmul_cols(x_cm));  // (out, batch) -> (batch, out)
   ASSERT_EQ(y_cols.shape(), y_batch.shape());
   Tensor xi({20});
   for (int64_t n = 0; n < 5; ++n) {
