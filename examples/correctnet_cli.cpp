@@ -14,16 +14,15 @@
 // Subcommand:
 //   correctnet_cli faults [--config PATH] [--out PATH] [--chips N]
 //                         [--epochs N] [--comp-epochs N] [--train N] [--test N]
-//                         [--sigma S] [--target NAME] [--fusion on|off]
+//                         [--sigma S] [--remap] [--parallel N] [--target NAME]
 //                         [--metrics-out F] [--trace-out F]
 //                         [--log-level quiet|info|debug] [--quiet]
 //
 // `--list-targets` prints the execution-target registry (src/exec/target.h);
 // `--target NAME` selects the target crossbar farms execute with (main
 // command: process default; faults subcommand: the campaign `target` key).
-// `--fusion on|off` steers the layer-graph fusion knob the same way (main:
-// nn::set_fusion_enabled process default; faults: the campaign `fusion` key).
-// CORRECTNET_FUSION does the same from the environment; default on.
+// Layer-graph fusion is bitwise-exact and on by default; CORRECTNET_FUSION=off
+// selects the unfused reference path (the retired `--fusion` flag says so).
 //
 // Observability (docs/OBSERVABILITY.md): `--metrics-out F` writes the
 // MetricsRegistry snapshot, `--trace-out F` enables the span tracer and
@@ -44,12 +43,15 @@
 // crossbar substrate — and writes a JSON CampaignReport. The scenario grid
 // comes from a key=value config file (see examples/fault_campaign.cfg); a
 // built-in quick grid is used when --config is omitted.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "data/synthetic.h"
@@ -57,7 +59,6 @@
 #include "faultsim/campaign.h"
 #include "models/lenet.h"
 #include "models/vgg.h"
-#include "nn/fusion.h"
 #include "nn/serialize.h"
 #include "obs/build_info.h"
 #include "obs/exposition.h"
@@ -86,7 +87,6 @@ struct Args {
   int64_t test = 600;
   std::string save_prefix;
   std::string target;  // crossbar execution target (process default override)
-  std::string fusion;  // on|off: layer-graph fusion (process default override)
   std::string metrics_out;  // write the metrics snapshot here at the end
   std::string trace_out;    // enable tracing, write Chrome trace JSON here
   std::string log_level;    // quiet|info|debug; empty = leave the default
@@ -100,7 +100,7 @@ struct Args {
                "          [--sigma S] [--epochs N] [--comp-epochs N] [--beta B]\n"
                "          [--lambda-min L] [--warmup N] [--ratio R] [--max-layers N]\n"
                "          [--mc N] [--rl] [--train N] [--test N] [--save-prefix P]\n"
-               "          [--target NAME] [--fusion on|off]\n"
+               "          [--target NAME]\n"
                "          [--metrics-out F] [--trace-out F]\n"
                "          [--log-level quiet|info|debug]\n"
                "          [--statusz-port N] [--metrics-stream F]\n"
@@ -121,20 +121,24 @@ void apply_target(const char* argv0, const std::string& name) {
   }
 }
 
-// Sets the process-wide layer-graph fusion override (nn::fusion_enabled
-// gates every eval-mode Sequential::forward after this).
-void apply_fusion(const char* argv0, const std::string& v) {
-  if (v == "on" || v == "1") cn::nn::set_fusion_enabled(true);
-  else if (v == "off" || v == "0") cn::nn::set_fusion_enabled(false);
-  else {
-    std::fprintf(stderr, "%s: --fusion expects on|off, got '%s'\n", argv0,
-                 v.c_str());
-    std::exit(2);
-  }
+// The fusion flag is gone from both commands: fusion is bitwise-exact, so
+// it never changes a result, and the unfused reference path is selected
+// process-wide from the environment.
+[[noreturn]] void retired_fusion_flag(const char* argv0) {
+  std::fprintf(stderr,
+               "%s: --fusion was removed; set CORRECTNET_FUSION=on|off instead\n",
+               argv0);
+  std::exit(2);
 }
 
-int list_targets() {
-  const std::string def = cn::exec::default_target().name();
+int list_targets(const char* argv0) {
+  std::string def;
+  try {  // resolves CORRECTNET_TARGET, which may name an unknown target
+    def = cn::exec::default_target().name();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
+    return 2;
+  }
   std::printf("registered execution targets (* = default):\n");
   for (const cn::exec::Target* t : cn::exec::registered_targets())
     std::printf("%c %-14s %-12s %-10s %s\n", t->name() == def ? '*' : ' ',
@@ -168,7 +172,7 @@ Args parse(int argc, char** argv) {
     else if (k == "--test") a.test = std::atoll(next());
     else if (k == "--save-prefix") a.save_prefix = next();
     else if (k == "--target") a.target = next();
-    else if (k == "--fusion") a.fusion = next();
+    else if (k == "--fusion") retired_fusion_flag(argv[0]);
     else if (k == "--metrics-out") a.metrics_out = next();
     else if (k == "--trace-out") a.trace_out = next();
     else if (k == "--log-level") a.log_level = next();
@@ -183,25 +187,31 @@ Args parse(int argc, char** argv) {
 
 struct FaultArgs {
   std::string config;  // key=value campaign file; empty = built-in quick grid
-  std::string target;  // overrides the config's `target` key
-  std::string fusion;  // on|off: overrides the config's `fusion` key
   std::string out = "faultsim_report.json";
-  int64_t chips = 0;  // >0 overrides the config's chip count
   bool remap = false; // force the fault-aware remapping axis on
-  bool parallel_set = false;  // --parallel given: override parallel_scenarios
-  int64_t parallel = 0;       // passed through verbatim — negatives must throw
   int epochs = 3;
   int comp_epochs = 3;
   float sigma = 0.5f;
   int64_t train = 800;
   int64_t test = 200;
-  std::string metrics_out;  // campaign `metrics_out` key override
-  std::string trace_out;    // campaign `trace_out` key override
-  std::string log_level;    // campaign `log_level` key override
-  bool quiet = false;       // shorthand for --log-level quiet (wins)
-  bool statusz_set = false;   // --statusz-port given: override `statusz_port`
-  int64_t statusz_port = -1;  // passed through verbatim (ctor validates)
-  std::string metrics_stream; // campaign `metrics_stream` key override
+  bool quiet = false;  // shorthand for --log-level quiet (wins)
+  // (campaign key, value) overrides from kKeyFlags, applied in flag order.
+  std::vector<std::pair<std::string, std::string>> keys;
+};
+
+// Flags that each override one campaign config key. The value goes into the
+// KeyValueConfig verbatim, so the strict parser and the Campaign ctor reject
+// a bad one exactly as they would in a config file ('--chips abc' exits 2
+// instead of silently running the config's chip count).
+constexpr std::pair<const char*, const char*> kKeyFlags[] = {
+    {"--chips", "chips"},
+    {"--parallel", "parallel_scenarios"},
+    {"--target", "target"},
+    {"--metrics-out", "metrics_out"},
+    {"--trace-out", "trace_out"},
+    {"--log-level", "log_level"},
+    {"--statusz-port", "statusz_port"},
+    {"--metrics-stream", "metrics_stream"},
 };
 
 [[noreturn]] void usage_faults(const char* argv0) {
@@ -209,7 +219,7 @@ struct FaultArgs {
                "usage: %s faults [--config PATH] [--out PATH] [--chips N]\n"
                "          [--epochs N] [--comp-epochs N] [--train N] [--test N]\n"
                "          [--sigma S] [--remap] [--parallel N] [--target NAME]\n"
-               "          [--fusion on|off] [--metrics-out F] [--trace-out F]\n"
+               "          [--metrics-out F] [--trace-out F]\n"
                "          [--log-level quiet|info|debug] [--quiet]\n"
                "          [--statusz-port N] [--metrics-stream F]\n",
                argv0);
@@ -224,24 +234,19 @@ FaultArgs parse_faults(int argc, char** argv) {
       if (i + 1 >= argc) usage_faults(argv[0]);
       return argv[++i];
     };
-    if (k == "--config") a.config = next();
-    else if (k == "--target") a.target = next();
-    else if (k == "--fusion") a.fusion = next();
+    const auto* key = std::find_if(std::begin(kKeyFlags), std::end(kKeyFlags),
+                                   [&](const auto& f) { return k == f.first; });
+    if (key != std::end(kKeyFlags)) a.keys.emplace_back(key->second, next());
+    else if (k == "--config") a.config = next();
+    else if (k == "--fusion") retired_fusion_flag(argv[0]);
     else if (k == "--out") a.out = next();
-    else if (k == "--chips") a.chips = std::atoll(next());
     else if (k == "--remap") a.remap = true;
-    else if (k == "--parallel") { a.parallel = std::atoll(next()); a.parallel_set = true; }
     else if (k == "--epochs") a.epochs = std::atoi(next());
     else if (k == "--comp-epochs") a.comp_epochs = std::atoi(next());
     else if (k == "--train") a.train = std::atoll(next());
     else if (k == "--test") a.test = std::atoll(next());
     else if (k == "--sigma") a.sigma = std::strtof(next(), nullptr);
-    else if (k == "--metrics-out") a.metrics_out = next();
-    else if (k == "--trace-out") a.trace_out = next();
-    else if (k == "--log-level") a.log_level = next();
     else if (k == "--quiet") a.quiet = true;
-    else if (k == "--statusz-port") { a.statusz_port = std::atoll(next()); a.statusz_set = true; }
-    else if (k == "--metrics-stream") a.metrics_stream = next();
     else usage_faults(argv[0]);
   }
   return a;
@@ -265,42 +270,22 @@ int run_faults(int argc, char** argv) {
   // Load and parse the campaign grid first: a bad --config path or value
   // must fail before minutes of training, not after. Flag overrides go
   // through KeyValueConfig::set (the parser rejects duplicate keys).
+  std::string metrics_path, trace_path;
   faultsim::Campaign campaign = [&] {
     try {
       core::KeyValueConfig cfg =
           args.config.empty()
               ? core::KeyValueConfig::from_string(kDefaultCampaign)
               : core::KeyValueConfig::from_file(args.config);
-      if (args.chips > 0) cfg.set("chips", std::to_string(args.chips));
+      for (const auto& [key, value] : args.keys) cfg.set(key, value);
       if (args.remap) cfg.set("remap", "1");
-      // Validated like the config-file twin: the Campaign ctor resolves the
-      // name against the exec registry and throws on a typo.
-      if (!args.target.empty()) cfg.set("target", args.target);
-      if (!args.fusion.empty()) {
-        if (args.fusion != "on" && args.fusion != "1" && args.fusion != "off" &&
-            args.fusion != "0")
-          throw std::runtime_error("--fusion expects on|off, got '" +
-                                   args.fusion + "'");
-        cfg.set("fusion",
-                (args.fusion == "on" || args.fusion == "1") ? "1" : "0");
-      }
-      // Passed through unvalidated on purpose: a bad value (e.g. negative)
-      // must throw from the Campaign ctor like its config-file twin would,
-      // not be silently dropped here.
-      if (args.parallel_set)
-        cfg.set("parallel_scenarios", std::to_string(args.parallel));
-      if (!args.metrics_out.empty()) cfg.set("metrics_out", args.metrics_out);
-      if (!args.trace_out.empty()) cfg.set("trace_out", args.trace_out);
-      if (args.statusz_set)
-        cfg.set("statusz_port", std::to_string(args.statusz_port));
-      if (!args.metrics_stream.empty())
-        cfg.set("metrics_stream", args.metrics_stream);
       // The campaign's per-scenario progress logs at debug; the faults
       // frontend keeps it visible by default (matching the CLI's historical
       // output), unless the config or a flag says otherwise. --quiet wins.
       if (args.quiet) cfg.set("log_level", "quiet");
-      else if (!args.log_level.empty()) cfg.set("log_level", args.log_level);
       else if (!cfg.has("log_level")) cfg.set("log_level", "debug");
+      metrics_path = cfg.str("metrics_out");
+      trace_path = cfg.str("trace_out");
       return faultsim::campaign_from_config(cfg);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "bad campaign config%s%s: %s\n",
@@ -396,8 +381,6 @@ int run_faults(int argc, char** argv) {
   obs::MetricsSnapshotter::stop_global();  // final partial-interval line
   // Campaign::run already wrote these (config keys metrics_out/trace_out);
   // just point at them.
-  const std::string metrics_path = args.metrics_out;
-  const std::string trace_path = args.trace_out;
   if (!metrics_path.empty()) std::printf("metrics -> %s\n", metrics_path.c_str());
   if (!trace_path.empty()) std::printf("trace -> %s\n", trace_path.c_str());
   return 0;
@@ -420,11 +403,11 @@ int main(int argc, char** argv) {
     std::printf("%s\n", obs::build_info_line().c_str());
     return 0;
   }
-  if (argc > 1 && std::strcmp(argv[1], "--list-targets") == 0) return list_targets();
+  if (argc > 1 && std::strcmp(argv[1], "--list-targets") == 0)
+    return list_targets(argv[0]);
   if (argc > 1 && std::strcmp(argv[1], "faults") == 0) return run_faults(argc, argv);
   const Args args = parse(argc, argv);
   if (!args.target.empty()) apply_target(argv[0], args.target);
-  if (!args.fusion.empty()) apply_fusion(argv[0], args.fusion);
   if (args.statusz_port >= 0 || !args.metrics_stream.empty()) {
     try {
       if (args.statusz_port >= 0)

@@ -106,7 +106,12 @@ PhaseResult run_phase(cn::runtime::ModelRouter& router,
 
 int main(int argc, char** argv) {
   using namespace cn;
-  obs::init_from_env();  // CORRECTNET_METRICS / _TRACE / _LOG / _STATUSZ_PORT...
+  try {
+    obs::init_from_env();  // CORRECTNET_METRICS / _TRACE / _LOG / _STATUSZ_PORT...
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 
   int64_t statusz_port = -1;
   double linger_s = 0;

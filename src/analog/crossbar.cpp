@@ -11,22 +11,6 @@
 
 namespace cn::analog {
 
-// Shim over the simd family's level selection in the execution-target
-// registry (the kernels themselves live in exec/simd_target.cpp).
-SimdLevel simd_max_level() {
-  return static_cast<SimdLevel>(exec::simd::max_level());
-}
-
-bool force_simd_level(SimdLevel level) {
-  return exec::simd::force_level(static_cast<int>(level));
-}
-
-void reset_simd_level() { exec::simd::reset_level(); }
-
-SimdLevel current_simd_level() {
-  return static_cast<SimdLevel>(exec::simd::current_level());
-}
-
 CrossbarTile::CrossbarTile(const Tensor& w, float w_absmax, const RramDeviceParams& dev,
                            Rng& rng, bool defer_lowering, const exec::Target* target)
     : rows_(w.dim(0)), cols_(w.dim(1)), dev_(dev),

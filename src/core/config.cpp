@@ -10,14 +10,12 @@
 namespace cn::core {
 
 namespace {
+// Same full-parse rule as a config file value: 'CORRECTNET_EPOCHS=1O'
+// silently meaning 1 would mis-size runs.
 int64_t env_int(const char* name, int64_t def) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return def;
-  try {
-    return std::stoll(v);
-  } catch (...) {
-    return def;
-  }
+  KeyValueConfig env;
+  if (const char* v = std::getenv(name)) env.set(name, v);
+  return env.integer(name, def);
 }
 }  // namespace
 
@@ -25,15 +23,17 @@ int RuntimeConfig::epochs(int base) const {
   return std::max(1, static_cast<int>(base * epoch_scale + 0.5));
 }
 
+RuntimeConfig RuntimeConfig::from_env() {
+  RuntimeConfig c;
+  c.mc_samples = static_cast<int>(env_int("CORRECTNET_MC", 25));
+  c.epoch_scale = static_cast<double>(env_int("CORRECTNET_EPOCHS", 100)) / 100.0;
+  c.train_cap = env_int("CORRECTNET_TRAIN", 4000);
+  c.test_cap = env_int("CORRECTNET_TEST", 800);
+  return c;
+}
+
 const RuntimeConfig& RuntimeConfig::get() {
-  static const RuntimeConfig cfg = [] {
-    RuntimeConfig c;
-    c.mc_samples = static_cast<int>(env_int("CORRECTNET_MC", 25));
-    c.epoch_scale = static_cast<double>(env_int("CORRECTNET_EPOCHS", 100)) / 100.0;
-    c.train_cap = env_int("CORRECTNET_TRAIN", 4000);
-    c.test_cap = env_int("CORRECTNET_TEST", 800);
-    return c;
-  }();
+  static const RuntimeConfig cfg = from_env();
   return cfg;
 }
 

@@ -7,7 +7,8 @@
 //   CORRECTNET_EPOCHS  multiplier (x100) on training epochs  (default 100 = 1.0x)
 //   CORRECTNET_TRAIN   training-set size cap                  (default 4000)
 //   CORRECTNET_TEST    test-set size cap                      (default 800)
-//   CORRECTNET_THREADS (informational; pool sizes from hardware_concurrency)
+// A set value must parse as a whole integer (KeyValueConfig::integer's rule);
+// anything else throws std::runtime_error naming the variable.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,8 @@ struct RuntimeConfig {
 
   /// Singleton, parsed from the environment on first use.
   static const RuntimeConfig& get();
+  /// Parses the environment now (what get() caches).
+  static RuntimeConfig from_env();
 };
 
 /// Minimal `key = value` config-file reader: one pair per line, '#' starts a

@@ -12,11 +12,10 @@
 
 namespace cn::exec::detail {
 
-/// Appends the simd kernel family: the auto-dispatching "simd" target plus
+/// Appends the simd kernel family: the widest-level "simd" target plus
 /// one pinned registration per ISA level.
 void append_simd_targets(std::vector<std::unique_ptr<Target>>& out);
 
 std::unique_ptr<Target> make_int8_target();
-std::unique_ptr<Target> make_hugetile_target();
 
 }  // namespace cn::exec::detail

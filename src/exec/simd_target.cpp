@@ -4,15 +4,13 @@
 // row-major (dense) batches and pixel lanes for item-contiguous (im2col)
 // batches, whose tiles are often only a few bitlines wide.
 //
-// Registrations: "simd" auto-dispatches per call (widest supported level, or
-// the level forced via exec::simd::force_level — the analog::force_simd_level
-// shim), and one pinned target per level proves all variants bit-identical.
+// Registrations: "simd" runs the widest level the host supports, and one
+// pinned target per level proves all variants bit-identical.
 //
 // This translation unit must stay contraction-free (see the avx attribute
 // and src/CMakeLists.txt): a fused multiply-add would round differently from
 // the scalar matvec path and break the bit-exactness contract.
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -302,9 +300,6 @@ int detect_level() {
   return 0;
 }
 
-// -1 = auto (host detection); otherwise a pinned level.
-std::atomic<int> g_forced_level{-1};
-
 const char* level_name(int level) {
   switch (level) {
     case 1: return "avx2";
@@ -316,11 +311,11 @@ const char* level_name(int level) {
 /// One lowered tile: padded double-precision conductance copies
 /// (float->double conversion is exact, so results match the scalar float
 /// path bit for bit while the hot loop skips per-element converts), executed
-/// at a pinned level, or at the per-call auto level when pinned < 0.
+/// at one ISA level fixed at lowering.
 class SimdTileExec final : public TileExec {
  public:
-  SimdTileExec(const TileView& t, int pinned_level)
-      : rows_(t.rows), cols_(t.cols), pinned_(pinned_level) {
+  SimdTileExec(const TileView& t, int level)
+      : rows_(t.rows), cols_(t.cols), level_(level) {
     const size_t n = static_cast<size_t>(rows_ * cols_);
     gd_pos_.assign(n + 8, 0.0);
     gd_neg_.assign(n + 8, 0.0);
@@ -335,13 +330,13 @@ class SimdTileExec final : public TileExec {
     // level's lane width). Bitline lanes: AVX-512's 32 registers hold an
     // 8-item accumulator block; narrower ISAs spill past 4 items.
     if (item_contiguous) return 64;
-    return effective_level() == 2 ? 8 : 4;
+    return level_ == 2 ? 8 : 4;
   }
 
   void currents(const float* x, int64_t nitems, int64_t xis, int64_t xws,
                 float* cur, int64_t cis, int64_t ccs,
                 Scratch& scratch) const override {
-    const LevelKernels& k = kLevels[effective_level()];
+    const LevelKernels& k = kLevels[level_];
     if (xis == 1) {
       pixel_lanes(k, gd_pos_.data(), gd_neg_.data(), rows_, cols_, x, nitems,
                   xws, cur, cis, ccs, scratch);
@@ -352,16 +347,12 @@ class SimdTileExec final : public TileExec {
   }
 
  private:
-  int effective_level() const {
-    return pinned_ < 0 ? simd::current_level() : pinned_;
-  }
-
   int64_t rows_, cols_;
-  int pinned_;
+  int level_;
   std::vector<double> gd_pos_, gd_neg_;
 };
 
-/// pinned_level < 0: the auto-dispatching "simd" family target.
+/// pinned_level < 0: the "simd" family target, lowered at max_level().
 class SimdTarget final : public Target {
  public:
   explicit SimdTarget(int pinned_level) : pinned_(pinned_level) {}
@@ -371,15 +362,16 @@ class SimdTarget final : public Target {
   }
   std::string description() const override {
     if (pinned_ < 0)
-      return "register-blocked float kernels, widest supported ISA level "
-             "picked per call (default)";
+      return "register-blocked float kernels at the widest supported ISA "
+             "level (default)";
     return std::string("register-blocked float kernels pinned to the ") +
            level_name(pinned_) + " ISA level";
   }
   bool available() const override { return pinned_ <= simd::max_level(); }
   bool bit_exact() const override { return true; }
   std::unique_ptr<TileExec> lower(const TileView& tile) const override {
-    return std::make_unique<SimdTileExec>(tile, pinned_);
+    return std::make_unique<SimdTileExec>(
+        tile, pinned_ < 0 ? simd::max_level() : pinned_);
   }
 
  private:
@@ -393,19 +385,6 @@ namespace simd {
 int max_level() {
   static const int max = detect_level();
   return max;
-}
-
-bool force_level(int level) {
-  if (level < 0 || level > max_level()) return false;
-  g_forced_level.store(level, std::memory_order_relaxed);
-  return true;
-}
-
-void reset_level() { g_forced_level.store(-1, std::memory_order_relaxed); }
-
-int current_level() {
-  const int forced = g_forced_level.load(std::memory_order_relaxed);
-  return forced < 0 ? max_level() : forced;
 }
 
 }  // namespace simd

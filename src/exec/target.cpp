@@ -59,7 +59,6 @@ void ensure_init_locked(Registry& r) {
   r.initialized = true;
   detail::append_simd_targets(r.targets);
   r.targets.push_back(detail::make_int8_target());
-  r.targets.push_back(detail::make_hugetile_target());
   r.builtin_default = find_locked(r, "simd");
   if (const char* env = std::getenv("CORRECTNET_TARGET"); env && *env)
     r.env_default = &resolve_locked(r, env, "CORRECTNET_TARGET");

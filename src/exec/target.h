@@ -10,15 +10,13 @@
 // dispatch sites.
 //
 // Built-in registrations:
-//   simd          auto-dispatching kernel family (generic/avx2/avx512f picked
-//                 per call; responds to force_simd_level) — the default
+//   simd          register-blocked kernels at the widest ISA level this
+//                 host supports (generic/avx2/avx512f) — the default
 //   simd-generic  the portable kernels, pinned
 //   simd-avx2     AVX2 kernels, pinned (x86-64 GCC builds on AVX2 hosts)
 //   simd-avx512f  AVX-512F kernels, pinned
 //   int8          digital half quantized to int8 end-to-end (approximate;
 //                 documented accuracy bounds, see docs/ARCHITECTURE.md)
-//   huge-tile     cache-blocked row-streaming kernels for large tiles
-//                 (bit-exact)
 //
 // The lowering seam is deliberately narrow — conductance arrays in, current
 // blocks out — so an offload target (GPU, accelerator API) can fill it without
@@ -167,16 +165,11 @@ void set_default_target(const std::string& name);
 /// (CORRECTNET_TARGET when set, else "simd").
 void reset_default_target();
 
-/// Dispatch-level shim of the built-in simd family (0 = generic, 1 = avx2,
-/// 2 = avx512f): the "simd" target re-reads the forced level on every call,
-/// which is what keeps analog::force_simd_level working on arrays that were
-/// lowered before the flip. Pinned registrations (simd-generic/...) ignore
-/// it. Not synchronized with running matmuls; flip only between calls.
+/// ISA levels of the built-in simd family (0 = generic, 1 = avx2,
+/// 2 = avx512f). The "simd" target lowers at max_level(); a specific level is
+/// selected by naming its pinned target (simd-generic/...).
 namespace simd {
-int max_level();              // widest level this build + host can execute
-bool force_level(int level);  // false (no change) when unsupported
-void reset_level();           // restore auto-selection
-int current_level();          // level the next auto-dispatched call uses
+int max_level();  // widest level this build + host can execute
 }  // namespace simd
 
 }  // namespace cn::exec

@@ -58,19 +58,14 @@ Tensor Conv2D::forward(const Tensor& x, bool train) {
       x.dim(3) != geom_.in_w)
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
   if (train) x_cache_ = x;
-  // live_weight() refreshes the effective weight so nominal-weight edits
-  // between forwards (optimizer steps, tests) are always reflected.
-  return forward_fused(x, live_weight().data(), b_.value.data(),
-                       /*pre_pool=*/nullptr, /*relu=*/false);
+  return forward_fused(x, /*pre_pool=*/nullptr, /*relu=*/false);
 }
 
 Tensor Conv2D::forward_relu(const Tensor& x) {
-  return forward_fused(x, live_weight().data(), b_.value.data(),
-                       /*pre_pool=*/nullptr, /*relu=*/true);
+  return forward_fused(x, /*pre_pool=*/nullptr, /*relu=*/true);
 }
 
-Tensor Conv2D::forward_fused(const Tensor& x, const float* pw, const float* pb,
-                             const PrePool* pre_pool, bool relu,
+Tensor Conv2D::forward_fused(const Tensor& x, const PrePool* pre_pool, bool relu,
                              const PrePool* post_pool) {
   const int64_t win = pre_pool ? pre_pool->window : 1;
   const int64_t N = x.dim(0);
@@ -88,6 +83,10 @@ Tensor Conv2D::forward_fused(const Tensor& x, const float* pw, const float* pb,
   const int64_t img_in = pre_pool ? img_pooled * win * win : img_pooled;
   const int64_t img_conv = out_c_ * OH * OW;
   const int64_t img_out = out_c_ * POH * POW;
+  // live_weight() refreshes the effective weight so nominal-weight edits
+  // between forwards (optimizer steps, tests) are always reflected.
+  const float* pw = live_weight().data();
+  const float* pb = b_.value.data();
   Tensor y({N, out_c_, POH, POW});
 
   parallel_for(0, N, [&](int64_t lo, int64_t hi) {

@@ -27,18 +27,16 @@ class Conv2D final : public Layer, public PerturbableWeight {
   Tensor forward_relu(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  /// Eval/exec kernel through explicit weight (out_c, in_c*kh*kw) and bias
-  /// (out_c) buffers — the bn-fold pass feeds folded tensors here — with an
-  /// optional fused pre-pool stage, branchless ReLU epilogue, and optional
-  /// post-pool stage (the conv's output is pooled per image from a scratch
-  /// buffer before it is written back, so the full-resolution feature map is
-  /// never materialized; the ReLU epilogue, when requested, applies before
+  /// Eval/exec kernel over the live weight and bias, with an optional fused
+  /// pre-pool stage, branchless ReLU epilogue, and optional post-pool stage
+  /// (the conv's output is pooled per image from a scratch buffer before it
+  /// is written back, so the full-resolution feature map is never
+  /// materialized; the ReLU epilogue, when requested, applies before
   /// pooling, matching the conv→relu→pool graph order). forward() routes
-  /// through this with the live weight, so the fused and unfused paths share
-  /// one accumulation order (the exactness contract). A post-pool window
-  /// must divide the conv output exactly (the fusion pass guarantees it).
-  Tensor forward_fused(const Tensor& x, const float* w, const float* b,
-                       const PrePool* pre_pool, bool relu,
+  /// through this, so the fused and unfused paths share one accumulation
+  /// order (the exactness contract). A post-pool window must divide the conv
+  /// output exactly (the fusion pass guarantees it).
+  Tensor forward_fused(const Tensor& x, const PrePool* pre_pool, bool relu,
                        const PrePool* post_pool = nullptr);
 
   bool accepts_post_pool(const PrePool& pool) const override {
@@ -46,15 +44,7 @@ class Conv2D final : public Layer, public PerturbableWeight {
            out_w() % pool.window == 0;
   }
   Tensor forward_pooled(const Tensor& x, bool relu, const PrePool& pool) override {
-    return forward_fused(x, live_weight().data(), b_.value.data(),
-                         /*pre_pool=*/nullptr, relu, &pool);
-  }
-
-  /// The weight tensor forward() would use right now: refreshes w ∘ f when
-  /// variation factors are active. Used by the fused graph executor.
-  const Tensor& live_weight() {
-    if (var_active_) w_eff_ = mul(w_.value, factors_);
-    return effective_weight();
+    return forward_fused(x, /*pre_pool=*/nullptr, relu, &pool);
   }
 
   std::vector<Param*> params() override { return {&w_, &b_}; }
@@ -81,6 +71,12 @@ class Conv2D final : public Layer, public PerturbableWeight {
   Param& bias() { return b_; }
 
  private:
+  /// The weight tensor forward() would use right now: refreshes w ∘ f when
+  /// variation factors are active.
+  const Tensor& live_weight() {
+    if (var_active_) w_eff_ = mul(w_.value, factors_);
+    return effective_weight();
+  }
   const Tensor& effective_weight() const { return var_active_ ? w_eff_ : w_.value; }
 
   ConvGeom geom_;

@@ -19,13 +19,11 @@ Tensor Dense::forward(const Tensor& x, bool train) {
   if (x.rank() != 2 || x.dim(1) != in_)
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
   if (train) x_cache_ = x;
-  // live_weight() refreshes the effective weight so nominal-weight edits
-  // between forwards (optimizer steps, tests) are always reflected.
-  return forward_fused(x, live_weight(), b_.value.data(), /*relu=*/false);
+  return forward_fused(x, /*relu=*/false);
 }
 
 Tensor Dense::forward_relu(const Tensor& x) {
-  return forward_fused(x, live_weight(), b_.value.data(), /*relu=*/true);
+  return forward_fused(x, /*relu=*/true);
 }
 
 const Tensor& Dense::live_weight() {
@@ -33,11 +31,13 @@ const Tensor& Dense::live_weight() {
   return effective_weight();
 }
 
-Tensor Dense::forward_fused(const Tensor& x, const Tensor& w, const float* b,
-                            bool relu) {
+Tensor Dense::forward_fused(const Tensor& x, bool relu) {
   if (x.rank() != 2 || x.dim(1) != in_)
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
-  Tensor y = matmul_nt(x, w);  // (N, out)
+  // live_weight() refreshes the effective weight so nominal-weight edits
+  // between forwards (optimizer steps, tests) are always reflected.
+  Tensor y = matmul_nt(x, live_weight());  // (N, out)
+  const float* b = b_.value.data();
   const int64_t N = y.dim(0);
   for (int64_t n = 0; n < N; ++n) {
     float* row = y.data() + n * out_;

@@ -19,16 +19,6 @@ class Dense final : public Layer, public PerturbableWeight {
   Tensor forward_relu(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  /// Eval/exec kernel through an explicit weight (out, in) and bias (out)
-  /// buffer, with an optional branchless ReLU epilogue folded into the
-  /// bias-add loop. forward() routes through this with the live weight, so
-  /// the fused and unfused paths share one accumulation order.
-  Tensor forward_fused(const Tensor& x, const Tensor& w, const float* b, bool relu);
-
-  /// The weight tensor forward() would use right now: refreshes w ∘ f when
-  /// variation factors are active. Used by the fused graph executor.
-  const Tensor& live_weight();
-
   std::vector<Param*> params() override { return {&w_, &b_}; }
   void collect_analog(std::vector<PerturbableWeight*>& out) override {
     out.push_back(this);
@@ -50,6 +40,14 @@ class Dense final : public Layer, public PerturbableWeight {
   Param& bias() { return b_; }
 
  private:
+  /// The shared forward kernel over the live weight, with an optional
+  /// branchless ReLU epilogue folded into the bias-add loop: forward() and
+  /// forward_relu() (the fused relu-epilogue) share one accumulation order.
+  Tensor forward_fused(const Tensor& x, bool relu);
+
+  /// The weight tensor forward() would use right now: refreshes w ∘ f when
+  /// variation factors are active.
+  const Tensor& live_weight();
   const Tensor& effective_weight() const { return var_active_ ? w_eff_ : w_.value; }
 
   int64_t in_, out_;

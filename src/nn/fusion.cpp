@@ -1,14 +1,11 @@
 #include "nn/fusion.h"
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 
-#include "nn/batchnorm.h"
-#include "nn/dense.h"
 #include "nn/pooling.h"
 #include "obs/metrics.h"
 
@@ -88,27 +85,6 @@ int64_t pass_elide_dropout(LayerGraph& g) {
   return n;
 }
 
-int64_t pass_fold_batchnorm(LayerGraph& g) {
-  int64_t n = 0;
-  for (GraphNode& node : g.nodes) {
-    if (node.op != OpKind::kBatchNorm || node.skip) continue;
-    auto* bn = dynamic_cast<BatchNorm2D*>(node.layer);
-    if (!bn) continue;
-    GraphNode* p = live_producer(g, node);
-    // Only conv2d: batchnorm2d is NCHW-only, so it can never legally follow
-    // a dense (rank-2 output) — there is no dense+bn graph to fold. Crossbar
-    // convs keep their bn standalone: conductances are programmed, not
-    // re-scalable per forward.
-    if (!p || p->op != OpKind::kConv2D || p->folded_bn) continue;
-    auto* conv = dynamic_cast<Conv2D*>(p->layer);
-    if (!conv || conv->out_channels() != bn->channels()) continue;
-    p->folded_bn = bn;
-    node.skip = true;
-    ++n;
-  }
-  return n;
-}
-
 // Reads a pool layer's window/kind into a PrePool; window 0 = not a pool.
 PrePool pool_params(const GraphNode& node) {
   PrePool pp;
@@ -123,7 +99,7 @@ PrePool pool_params(const GraphNode& node) {
 }
 
 // Pool consuming a conv's output — digital or crossbar (any layer whose
-// accepts_post_pool agrees), directly or through skipped relu/bn/dropout
+// accepts_post_pool agrees), directly or through skipped relu/dropout
 // nodes — pools as that conv writes its output. Runs
 // before pass_fuse_pool so the upstream conv — whose full-resolution output
 // the rewrite elides — wins over the downstream one.
@@ -181,18 +157,14 @@ int64_t pass_fuse_relu(LayerGraph& g) {
 
 }  // namespace
 
-FusionStats run_fusion_passes(LayerGraph& g, const FusionOptions& opts) {
+FusionStats run_fusion_passes(LayerGraph& g) {
   FusionStats s;
-  if (opts.elide_dropout) s.dropout_elided = pass_elide_dropout(g);
-  if (opts.fold_batchnorm) s.bn_folded = pass_fold_batchnorm(g);
-  if (opts.fuse_relu) s.relu_fused = pass_fuse_relu(g);
-  if (opts.fuse_pool) {
-    s.post_pools_fused = pass_fuse_post_pool(g);
-    s.pools_fused = pass_fuse_pool(g);
-  }
+  s.dropout_elided = pass_elide_dropout(g);
+  s.relu_fused = pass_fuse_relu(g);
+  s.post_pools_fused = pass_fuse_post_pool(g);
+  s.pools_fused = pass_fuse_pool(g);
   auto& m = obs::metrics();
   m.counter("fusion.dropout_elided").add(static_cast<uint64_t>(s.dropout_elided));
-  m.counter("fusion.bn_folded").add(static_cast<uint64_t>(s.bn_folded));
   m.counter("fusion.pools_fused").add(static_cast<uint64_t>(s.pools_fused));
   m.counter("fusion.post_pools_fused")
       .add(static_cast<uint64_t>(s.post_pools_fused));
@@ -204,41 +176,9 @@ FusionStats run_fusion_passes(LayerGraph& g, const FusionOptions& opts) {
 // Executor.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Folds a batchnorm's eval-time affine into explicit conv weight/bias
-// tensors: y = γ·(conv(x)+b−μ)·inv_std + β with inv_std = 1/√(σ²+ε), i.e.
-// w' = w·s, b' = (b−μ)·s + β with s = γ·inv_std. Matches BatchNorm2D's
-// float arithmetic (same inv_std expression); re-rounding of the scaled
-// products is what the kBnFold* tolerance covers.
-void fold_batchnorm_params(Conv2D& conv, BatchNorm2D& bn, Tensor& wf, Tensor& bf) {
-  const Tensor& w = conv.live_weight();
-  const int64_t out_c = conv.out_channels();
-  const int64_t k2 = w.dim(1);
-  wf = Tensor(w.shape());
-  bf = Tensor({out_c});
-  const float* pw = w.data();
-  const float* pb = conv.bias().value.data();
-  const float* g = bn.gamma().value.data();
-  const float* beta = bn.beta().value.data();
-  const float* rm = bn.running_mean().data();
-  const float* rv = bn.running_var().data();
-  const float eps = bn.eps();
-  for (int64_t c = 0; c < out_c; ++c) {
-    const float inv_std = 1.0f / std::sqrt(rv[c] + eps);
-    const float s = g[c] * inv_std;
-    float* wrow = wf.data() + c * k2;
-    const float* srow = pw + c * k2;
-    for (int64_t k = 0; k < k2; ++k) wrow[k] = srow[k] * s;
-    bf[c] = (pb[c] - rm[c]) * s + beta[c];
-  }
-}
-
-}  // namespace
-
-FusedPlan::FusedPlan(Sequential& model, const FusionOptions& opts)
+FusedPlan::FusedPlan(Sequential& model)
     : graph_(LayerGraph::build(model, /*train=*/false)) {
-  stats_ = run_fusion_passes(graph_, opts);
+  stats_ = run_fusion_passes(graph_);
   obs::metrics().counter("fusion.plans").add(1);
 }
 
@@ -247,23 +187,8 @@ Tensor FusedPlan::run_node(GraphNode& n, const Tensor& x) {
     if (auto* conv = dynamic_cast<Conv2D*>(n.layer)) {
       const PrePool* pp = n.pre_pool.window > 0 ? &n.pre_pool : nullptr;
       const PrePool* post = n.post_pool.window > 0 ? &n.post_pool : nullptr;
-      if (n.folded_bn) {
-        // Folded per call: weights are always read live (variation factors,
-        // weight edits); the fold is O(weights), negligible next to the conv.
-        Tensor wf, bf;
-        fold_batchnorm_params(*conv, *n.folded_bn, wf, bf);
-        return conv->forward_fused(x, wf.data(), bf.data(), pp, n.relu_epilogue,
-                                   post);
-      }
-      return conv->forward_fused(x, conv->live_weight().data(),
-                                 conv->bias().value.data(), pp, n.relu_epilogue,
-                                 post);
+      return conv->forward_fused(x, pp, n.relu_epilogue, post);
     }
-  }
-  if (n.op == OpKind::kDense) {
-    if (auto* d = dynamic_cast<Dense*>(n.layer))
-      return d->forward_fused(x, d->live_weight(), d->bias().value.data(),
-                              n.relu_epilogue);
   }
   if (n.post_pool.window > 0)
     return n.layer->forward_pooled(x, n.relu_epilogue, n.post_pool);

@@ -80,7 +80,6 @@ std::string LayerGraph::to_string() const {
     os << "]";
     if (n.skip) os << " skip";
     if (n.relu_epilogue) os << " +relu";
-    if (n.folded_bn) os << " +bn-fold";
     if (n.pre_pool.window > 0)
       os << " +pre-" << (n.pre_pool.kind == PrePool::Kind::kMax ? "max" : "avg")
          << "pool" << n.pre_pool.window;

@@ -9,8 +9,8 @@
 //
 // Lowering is eval-mode only. Train-mode graphs are refused at build time:
 // dropout draws masks and batch-norm consumes batch statistics in train mode
-// (Layer::train_mode_sensitive), so folding or eliding them there would
-// silently change training semantics.
+// (Layer::train_mode_sensitive), so eliding or rewriting around them there
+// would silently change training semantics.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,6 @@
 #include "nn/sequential.h"
 
 namespace cn::nn {
-
-class BatchNorm2D;
 
 /// Op classification for pass pattern-matching, derived from Layer::kind().
 /// Unknown kinds become kOpaque and always execute via Layer::forward.
@@ -55,7 +53,6 @@ struct GraphNode {
   // ---- fusion annotations (written by nn::run_fusion_passes) ----
   bool skip = false;           // absorbed into another node, or elided
   bool relu_epilogue = false;  // apply max(0, ·) inside this node's epilogue
-  BatchNorm2D* folded_bn = nullptr;  // conv only: fold this BN at execution
   PrePool pre_pool;            // conv only: pooling fused into im2col
                                // (window 0 = none)
   PrePool post_pool;           // conv only: pool the conv's output inside the
@@ -71,8 +68,7 @@ struct LayerGraph {
 
   /// Builds the node-per-op graph from a Sequential's layer chain. Eval-mode
   /// lowering only: `train == true` throws std::logic_error, naming every
-  /// train_mode_sensitive layer, instead of silently folding batchnorm with
-  /// stale running statistics or eliding live dropout.
+  /// train_mode_sensitive layer, instead of silently eliding live dropout.
   static LayerGraph build(Sequential& model, bool train = false);
 
   /// Debug dump: one line per node with op, label, edges and annotations.

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "analog/crossbar.h"
+#include "exec/target.h"
 
 namespace cn::obs {
 
@@ -23,12 +23,11 @@ std::string detect_compiler() {
 }
 
 std::string detect_simd() {
-  // The same detection the "simd" target's auto-dispatch uses, so /statusz
+  // The same detection the "simd" target lowers with, so /statusz
   // reports the ISA the kernels will actually run.
-  switch (analog::simd_max_level()) {
-    case analog::SimdLevel::kAvx512f: return "avx512f";
-    case analog::SimdLevel::kAvx2: return "avx2";
-    case analog::SimdLevel::kGeneric: break;
+  switch (exec::simd::max_level()) {
+    case 2: return "avx512f";
+    case 1: return "avx2";
   }
   return "generic";
 }

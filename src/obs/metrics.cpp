@@ -387,16 +387,13 @@ void init_from_env() {
   if (const char* p = std::getenv("CORRECTNET_STATUSZ_PORT"); p && *p) {
     char* end = nullptr;
     const long port = std::strtol(p, &end, 10);
-    if (end && *end == '\0' && port >= 0 && port <= 65535) {
-      try {
-        ExpositionServer::start_global(static_cast<int>(port)).set_ready(true);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "CORRECTNET_STATUSZ_PORT: %s\n", e.what());
-      }
-    } else {
-      std::fprintf(stderr,
-                   "CORRECTNET_STATUSZ_PORT: invalid port '%s' (want 0-65535)\n",
-                   p);
+    if (*end != '\0' || port < 0 || port > 65535)
+      throw std::invalid_argument("CORRECTNET_STATUSZ_PORT: invalid port '" +
+                                  std::string(p) + "' (want 0-65535)");
+    try {
+      ExpositionServer::start_global(static_cast<int>(port)).set_ready(true);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "CORRECTNET_STATUSZ_PORT: %s\n", e.what());
     }
   }
   if (const char* p = std::getenv("CORRECTNET_METRICS_STREAM"); p && *p) {
@@ -410,10 +407,10 @@ void init_from_env() {
   if (const char* p = std::getenv("CORRECTNET_SLO_P99_MS"); p && *p) {
     char* end = nullptr;
     const double ms = std::strtod(p, &end);
-    if (end && *end == '\0' && ms >= 0.0)
-      set_default_slo_p99_ms(ms);
-    else
-      std::fprintf(stderr, "CORRECTNET_SLO_P99_MS: invalid value '%s'\n", p);
+    if (*end != '\0' || !(ms >= 0.0))
+      throw std::invalid_argument("CORRECTNET_SLO_P99_MS: invalid value '" +
+                                  std::string(p) + "' (want a number >= 0)");
+    set_default_slo_p99_ms(ms);
   }
   if (want_atexit) {
     std::atexit(+[] {

@@ -5,11 +5,10 @@
 // seed, so a (seed, allow_batchnorm) pair is a reproducible parity case.
 //
 // BatchNorm running statistics are warmed by a few train-mode forwards inside
-// the generator (an unwarmed BN has running_var = 1, which would make the
-// bn-fold pass trivially exact); dropout layers get seeds derived from the
-// model seed. The generator reports whether batchnorm was actually placed so
-// callers can pick the right tolerance (bitwise without BN, the pinned
-// kBnFold* contract with it).
+// the generator (an unwarmed BN is a near-identity affine); dropout layers
+// get seeds derived from the model seed. The generator reports whether
+// batchnorm was actually placed, so callers can count the BN-bearing cases
+// they checked.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +72,7 @@ inline RandomModel make_random_model(const RandomModelSpec& spec) {
     if (spec.allow_batchnorm && rng.uniform() < 0.5) {
       auto& bn = m.emplace<nn::BatchNorm2D>(c, 0.9f, 1e-5f,
                                             "bn" + std::to_string(b));
-      // Non-trivial affine so the fold is not a pure rescale.
+      // Non-trivial affine, so a BN-bearing graph differs from its BN-free twin.
       rng.fill_normal(bn.gamma().value, 1.0f, 0.2f);
       rng.fill_normal(bn.beta().value, 0.0f, 0.2f);
       rm.has_batchnorm = true;

@@ -1,5 +1,6 @@
 #include "core/config.h"
 
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <stdexcept>
@@ -25,6 +26,30 @@ TEST(RuntimeConfig, DefaultsAreSane) {
   EXPECT_GT(c.epoch_scale, 0.0);
   EXPECT_GE(c.train_cap, 1);
   EXPECT_GE(c.test_cap, 1);
+}
+
+TEST(RuntimeConfig, PartialEnvParseThrows) {
+  // Same full-parse rule as a config file value: 'CORRECTNET_EPOCHS=1O' must
+  // not silently mean 1, and garbage must not silently mean the default.
+  const char* prev = std::getenv("CORRECTNET_EPOCHS");
+  const std::string saved = prev ? prev : "";
+  for (const char* bad : {"1O", "abc"}) {
+    ::setenv("CORRECTNET_EPOCHS", bad, 1);
+    try {
+      (void)RuntimeConfig::from_env();
+      ADD_FAILURE() << "CORRECTNET_EPOCHS=" << bad << " must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("CORRECTNET_EPOCHS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::setenv("CORRECTNET_EPOCHS", "250", 1);
+  EXPECT_DOUBLE_EQ(RuntimeConfig::from_env().epoch_scale, 2.5);
+  if (prev)
+    ::setenv("CORRECTNET_EPOCHS", saved.c_str(), 1);
+  else
+    ::unsetenv("CORRECTNET_EPOCHS");
 }
 
 TEST(RuntimeConfig, EpochScalingNeverBelowOne) {
@@ -155,6 +180,24 @@ TEST(ConfigDocs, CampaignTableMatchesDeclaredKeySet) {
     EXPECT_TRUE(declared.count(k))
         << "key `" << k << "` is documented in docs/CONFIG.md but not "
         << "declared in campaign_config_keys()";
+}
+
+TEST(CampaignConfig, RetiredNamesFailLoudly) {
+  // The campaign `fusion` key is gone (fusion is bitwise-exact, so reports
+  // never depended on it); its error points at the knob that remains.
+  try {
+    faultsim::campaign_from_config(
+        KeyValueConfig::from_string("stuck.rates = 0.01\nfusion = 0\n"));
+    ADD_FAILURE() << "`fusion = 0` must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("CORRECTNET_FUSION"),
+              std::string::npos)
+        << e.what();
+  }
+  // The retired huge-tile target is an unknown name at campaign construction.
+  EXPECT_THROW(faultsim::campaign_from_config(KeyValueConfig::from_string(
+                   "stuck.rates = 0.01\ntarget = huge-tile\n")),
+               std::runtime_error);
 }
 
 TEST(KeyValueConfig, MissingFileThrows) {

@@ -75,8 +75,8 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
                                      kOut, row + " matmul_cols");
     }
   }
-  // simd, simd-generic and huge-tile are always executable.
-  ASSERT_GE(targets_run, 3) << what;
+  // simd and simd-generic are always executable.
+  ASSERT_GE(targets_run, 2) << what;
 }
 
 TEST(CrossbarExec, PeripheryCombosKeepBatchedAndMatvecBitIdentical) {
@@ -141,16 +141,22 @@ TEST(CrossbarExec, EveryFaultModelKeepsBatchedAndMatvecBitIdentical) {
   run(combined, full, 240);
 }
 
+// Whether the host CPU can execute AVX-512F code from this build (the same
+// condition the simd family's level detection applies).
+bool host_has_avx512f() {
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
 TEST(CrossbarExec, ForcedSimdDispatchLevelsAreBitIdentical) {
-  // The runtime dispatcher normally picks the widest ISA the host supports,
-  // so parity was only ever proven for that one level. Pin dispatch to every
-  // supported level on the same inputs: each must reproduce the per-column
+  // The default "simd" target lowers at the widest ISA the host supports, so
+  // its own parity only ever proves that one level. Run every pinned level
+  // on the same inputs and conductances: each must reproduce the per-column
   // matvec loop bit for bit (fp-contract stays off in the SIMD variants, so
   // there is no FMA to round differently).
-  struct DispatchGuard {
-    ~DispatchGuard() { reset_simd_level(); }
-  } guard;
-
   RramDeviceParams dev = ideal();
   dev.program_sigma = 0.2f;
   dev.conductance_levels = 16;
@@ -159,79 +165,38 @@ TEST(CrossbarExec, ForcedSimdDispatchLevelsAreBitIdentical) {
   Rng rng(400);
   Tensor w({kOut, kIn});
   rng.fill_normal(w, 0.0f, 0.5f);
-  Rng prog(401);
-  // Explicitly on the auto "simd" target: forcing a dispatch level is a simd
-  // family knob, and the test must hold under any ambient default target.
-  CrossbarArray xbar(w, dev, prog, /*tile=*/8, nullptr, nullptr,
-                     exec::find_target("simd"));
   Tensor x({kBatch, kIn});
   rng.fill_normal(x, 0.0f, 1.0f);
   Tensor x_cm({kIn, kBatch});
   for (int64_t n = 0; n < kBatch; ++n)
     for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
 
-  // Reference: the scalar per-column loop (dispatch-independent).
-  std::vector<Tensor> ref;
-  Tensor xi({kIn});
-  for (int64_t n = 0; n < kBatch; ++n) {
-    std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
-    ref.push_back(xbar.matvec(xi));
-  }
-
-  const SimdLevel levels[] = {SimdLevel::kGeneric, SimdLevel::kAvx2,
-                              SimdLevel::kAvx512f};
   int tested = 0;
-  for (SimdLevel level : levels) {
-    if (level > simd_max_level()) continue;  // host can't execute it
-    ASSERT_TRUE(force_simd_level(level));
-    ASSERT_EQ(current_simd_level(), level);
+  for (const char* name : {"simd-generic", "simd-avx2", "simd-avx512f"}) {
+    const exec::Target* pinned = exec::find_target(name);
+    ASSERT_NE(pinned, nullptr) << name;
+    if (!pinned->available()) continue;  // host can't execute it
     ++tested;
+    Rng prog(401);  // identical conductances on every level
+    CrossbarArray xbar(w, dev, prog, /*tile=*/8, nullptr, nullptr,
+                       &exec::get_target(name));
     const Tensor y_batch = xbar.matmul(x);
     const Tensor y_cols = transpose(xbar.matmul_cols(x_cm));  // (batch, out)
+    Tensor xi({kIn});
     for (int64_t n = 0; n < kBatch; ++n) {
-      const std::string row = "level " + std::to_string(static_cast<int>(level)) +
-                              " row " + std::to_string(n);
-      testutil::expect_bitwise_equal(y_batch.data() + n * kOut,
-                                     ref[static_cast<size_t>(n)].data(), kOut,
-                                     row + " matmul");
-      testutil::expect_bitwise_equal(y_cols.data() + n * kOut,
-                                     ref[static_cast<size_t>(n)].data(), kOut,
-                                     row + " matmul_cols");
+      // Reference: the scalar per-column loop (target-independent).
+      std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
+      const Tensor ref = xbar.matvec(xi);
+      const std::string row = std::string(name) + " row " + std::to_string(n);
+      testutil::expect_bitwise_equal(y_batch.data() + n * kOut, ref.data(),
+                                     kOut, row + " matmul");
+      testutil::expect_bitwise_equal(y_cols.data() + n * kOut, ref.data(),
+                                     kOut, row + " matmul_cols");
     }
   }
   EXPECT_GE(tested, 1);  // generic always runs
-  // Unsupported levels must be rejected without changing the pin.
-  if (simd_max_level() < SimdLevel::kAvx512f) {
-    EXPECT_FALSE(force_simd_level(SimdLevel::kAvx512f));
-  }
-  reset_simd_level();
-  EXPECT_EQ(current_simd_level(), simd_max_level());
-}
-
-TEST(CrossbarExec, HugeTileTargetIsBitExactAcrossColumnChunks) {
-  // The cache-blocked target walks bitlines in 1024-column chunks; a tile
-  // wider than one chunk must still reproduce the scalar reference bit for
-  // bit (per-column accumulation order is chunk-invariant).
-  RramDeviceParams dev = ideal();
-  dev.program_sigma = 0.2f;
-  dev.readout.adc_bits = 8;
-  constexpr int64_t kIn = 40, kOut = 1100, kBatch = 5;  // cols span 2 chunks
-  Rng rng(500);
-  Tensor w({kOut, kIn});
-  rng.fill_normal(w, 0.0f, 0.5f);
-  Rng prog(501);
-  CrossbarArray xbar(w, dev, prog, /*tile=*/2048, nullptr, nullptr,
-                     &exec::get_target("huge-tile"));
-  Tensor x({kBatch, kIn});
-  rng.fill_normal(x, 0.0f, 1.0f);
-  const Tensor y_batch = xbar.matmul(x);
-  Tensor xi({kIn});
-  for (int64_t n = 0; n < kBatch; ++n) {
-    std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
-    const Tensor yi = xbar.matvec(xi);
-    testutil::expect_bitwise_equal(y_batch.data() + n * kOut, yi.data(), kOut,
-                                   "huge-tile row " + std::to_string(n));
-  }
+  // The widest level is offered exactly when the host can execute it.
+  EXPECT_EQ(exec::find_target("simd-avx512f")->available(), host_has_avx512f());
 }
 
 // Max |y_int8 - y_ref| over the batch, relative to max |y_ref|, between an
@@ -381,8 +346,8 @@ void expect_conv_paths_bit_identical(const ConvCase& cc, const RramDeviceParams&
     testutil::expect_bitwise_equal(batched, xc.forward(x, false), tag);
     testutil::expect_bitwise_equal(batched_relu, xc.forward_relu(x), tag + " relu");
   }
-  // simd, its pinned generic level and huge-tile are always executable.
-  ASSERT_GE(targets_run, 3) << what;
+  // simd and its pinned generic level are always executable.
+  ASSERT_GE(targets_run, 2) << what;
 }
 
 TEST(CrossbarConvParity, PixelCountsAroundTheLaneWidth) {

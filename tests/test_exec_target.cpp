@@ -42,8 +42,8 @@ analog::RramDeviceParams quiet_dev() {
 }
 
 TEST(ExecRegistry, BuiltinsAreRegistered) {
-  for (const char* name : {"simd", "simd-generic", "simd-avx2", "simd-avx512f",
-                           "int8", "huge-tile"}) {
+  for (const char* name :
+       {"simd", "simd-generic", "simd-avx2", "simd-avx512f", "int8"}) {
     const exec::Target* t = exec::find_target(name);
     ASSERT_NE(t, nullptr) << name;
     EXPECT_EQ(t->name(), name);
@@ -51,18 +51,16 @@ TEST(ExecRegistry, BuiltinsAreRegistered) {
   }
   // Registration order: builtins first, the default family leading.
   auto all = exec::registered_targets();
-  ASSERT_GE(all.size(), 6u);
+  ASSERT_GE(all.size(), 5u);
   EXPECT_EQ(all[0]->name(), "simd");
   // The portable members are executable everywhere.
   EXPECT_TRUE(exec::find_target("simd")->available());
   EXPECT_TRUE(exec::find_target("simd-generic")->available());
   EXPECT_TRUE(exec::find_target("int8")->available());
-  EXPECT_TRUE(exec::find_target("huge-tile")->available());
   // Exactness self-description: the float targets honor the bit-exactness
   // contract, int8 is declared approximate.
   EXPECT_TRUE(exec::find_target("simd")->bit_exact());
   EXPECT_TRUE(exec::find_target("simd-generic")->bit_exact());
-  EXPECT_TRUE(exec::find_target("huge-tile")->bit_exact());
   EXPECT_FALSE(exec::find_target("int8")->bit_exact());
 }
 
@@ -79,8 +77,8 @@ TEST(ExecRegistry, UnknownLookupsFailTheRightWay) {
 
 TEST(ExecRegistry, DefaultTargetPrecedenceAndReset) {
   EXPECT_EQ(exec::default_target().name(), ambient_name());
-  exec::set_default_target("huge-tile");
-  EXPECT_EQ(exec::default_target().name(), "huge-tile");
+  exec::set_default_target("simd-generic");
+  EXPECT_EQ(exec::default_target().name(), "simd-generic");
   exec::reset_default_target();
   EXPECT_EQ(exec::default_target().name(), ambient_name());
   // A bad override throws and leaves the default untouched.
@@ -169,7 +167,7 @@ TEST(ExecRegistry, Int8LoweringRejectsTilesBeyondAccumulatorRange) {
   // The same shape lowers fine on the default float targets.
   Rng prog2(94);
   analog::CrossbarArray ok(w, quiet_dev(), prog2, /*tile=*/1 << 18, nullptr,
-                           nullptr, &exec::get_target("huge-tile"));
+                           nullptr, &exec::get_target("simd"));
   EXPECT_EQ(ok.num_tiles(), 1);
 }
 
