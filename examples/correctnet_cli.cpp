@@ -1,62 +1,32 @@
 // Command-line front end for the CorrectNet pipeline.
 //
-// Usage:
-//   correctnet_cli [--net lenet|vgg] [--dataset digits|objects10|objects100]
-//                  [--sigma 0.5] [--epochs 6] [--comp-epochs 5]
-//                  [--beta 3e-2] [--lambda-min 0] [--warmup 0]
-//                  [--ratio 0.5] [--max-layers 4] [--mc 15] [--rl]
-//                  [--train N] [--test N] [--save-prefix PATH]
-//                  [--metrics-out F] [--trace-out F] [--log-level L]
+// The main command runs baseline -> suppression -> sensitivity ->
+// compensation -> Monte-Carlo and prints a summary; optionally saves the
+// trained weights. The `faults` subcommand trains the same pipeline, then
+// drives a faultsim::Campaign — device faults (stuck-at cells, conductance
+// drift, IR drop, temperature) swept against the baseline, suppression-only,
+// and compensated networks on the crossbar substrate — and writes a JSON
+// CampaignReport. Its scenario grid comes from a key=value config file (see
+// examples/fault_campaign.cfg); a built-in quick grid is used when --config
+// is omitted. `--list-targets` prints the execution-target registry and
+// `--version` the build identity line.
 //
-// Runs baseline -> suppression -> sensitivity -> compensation -> Monte-Carlo
-// and prints a summary; optionally saves the trained weights.
-//
-// Subcommand:
-//   correctnet_cli faults [--config PATH] [--out PATH] [--chips N]
-//                         [--epochs N] [--comp-epochs N] [--train N] [--test N]
-//                         [--sigma S] [--remap] [--parallel N] [--target NAME]
-//                         [--metrics-out F] [--trace-out F]
-//                         [--log-level quiet|info|debug] [--quiet]
-//
-// `--list-targets` prints the execution-target registry (src/exec/target.h);
-// `--target NAME` selects the target crossbar farms execute with (main
-// command: process default; faults subcommand: the campaign `target` key).
-// Layer-graph fusion is bitwise-exact and on by default; CORRECTNET_FUSION=off
-// selects the unfused reference path (the retired `--fusion` flag says so).
-//
-// Observability (docs/OBSERVABILITY.md): `--metrics-out F` writes the
-// MetricsRegistry snapshot, `--trace-out F` enables the span tracer and
-// writes Chrome trace_event JSON, `--log-level` / `--quiet` steer the obs
-// Logger (faults defaults to debug so per-scenario progress stays visible).
-// `--statusz-port N` serves /metrics, /healthz and /statusz live over HTTP
-// (0 = ephemeral port), `--metrics-stream F` appends 1 Hz interval-delta
-// JSONL snapshots, and `--version` prints the build identity line.
-// CORRECTNET_METRICS / CORRECTNET_TRACE / CORRECTNET_LOG (plus
-// CORRECTNET_STATUSZ_PORT / CORRECTNET_METRICS_STREAM / CORRECTNET_SLO_P99_MS
-// / CORRECTNET_SIGNAL_FLUSH) do the same from the environment. None of it
-// changes results: every report is byte-identical with metrics and tracing
-// on or off.
-//
-// Trains the CorrectNet pipeline, then drives a faultsim::Campaign — device
-// faults (stuck-at cells, conductance drift, IR drop, temperature) swept
-// against the baseline, suppression-only, and compensated networks on the
-// crossbar substrate — and writes a JSON CampaignReport. The scenario grid
-// comes from a key=value config file (see examples/fault_campaign.cfg); a
-// built-in quick grid is used when --config is omitted.
+// Every flag is a core::Knob row (frontend_knobs.h); a bad flag prints the
+// usage generated from them and exits 2. docs/CONFIG.md says what each one
+// means. Observability flags (docs/OBSERVABILITY.md)
+// never change results: every report is byte-identical with metrics and
+// tracing on or off.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/pipeline.h"
 #include "data/synthetic.h"
 #include "exec/target.h"
 #include "faultsim/campaign.h"
+#include "frontend_knobs.h"
 #include "models/lenet.h"
 #include "models/vgg.h"
 #include "nn/serialize.h"
@@ -65,70 +35,27 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/snapshot_stream.h"
-#include "obs/trace.h"
 #include "runtime/scheduler.h"
 
 namespace {
 
-struct Args {
-  std::string net = "lenet";
-  std::string dataset = "digits";
-  float sigma = 0.5f;
-  int epochs = 6;
-  int comp_epochs = 5;
-  float beta = 3e-2f;
-  float lambda_min = 0.0f;
-  int warmup = 0;
-  float ratio = 0.5f;
-  int max_layers = 4;
-  int mc = 15;
-  bool rl = false;
-  int64_t train = 2500;
-  int64_t test = 600;
-  std::string save_prefix;
-  std::string target;  // crossbar execution target (process default override)
-  std::string metrics_out;  // write the metrics snapshot here at the end
-  std::string trace_out;    // enable tracing, write Chrome trace JSON here
-  std::string log_level;    // quiet|info|debug; empty = leave the default
-  int64_t statusz_port = -1;   // >= 0: start the exposition server (0 = ephemeral)
-  std::string metrics_stream;  // start the JSONL metrics snapshotter here
-};
+using cn::examples::cli_knobs;
+using cn::examples::faults_knobs;
+using cn::examples::parse_flags;
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--net lenet|vgg] [--dataset digits|objects10|objects100]\n"
-               "          [--sigma S] [--epochs N] [--comp-epochs N] [--beta B]\n"
-               "          [--lambda-min L] [--warmup N] [--ratio R] [--max-layers N]\n"
-               "          [--mc N] [--rl] [--train N] [--test N] [--save-prefix P]\n"
-               "          [--target NAME]\n"
-               "          [--metrics-out F] [--trace-out F]\n"
-               "          [--log-level quiet|info|debug]\n"
-               "          [--statusz-port N] [--metrics-stream F]\n"
-               "       %s --list-targets\n"
-               "       %s --version\n",
-               argv0, argv0, argv0);
-  std::exit(2);
-}
+// The main command's usage line also names the other commands.
+constexpr const char* kMainUsage =
+    " [flags] | faults [flags] | --list-targets | --version";
 
-// Sets the process-wide default execution target (everything that programs
-// crossbars after this — campaign farms, demo runs — lowers through it).
-void apply_target(const char* argv0, const std::string& name) {
-  try {
-    cn::exec::set_default_target(name);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-    std::exit(2);
-  }
-}
-
-// The fusion flag is gone from both commands: fusion is bitwise-exact, so
-// it never changes a result, and the unfused reference path is selected
-// process-wide from the environment.
-[[noreturn]] void retired_fusion_flag(const char* argv0) {
-  std::fprintf(stderr,
-               "%s: --fusion was removed; set CORRECTNET_FUSION=on|off instead\n",
-               argv0);
-  std::exit(2);
+// Writes the observability sinks, ends the snapshot stream (its final
+// partial-interval line) and points at the files a flag or `cfg` asked for.
+int finish_sinks(const cn::core::KeyValueConfig& cfg) {
+  cn::obs::flush_observability_sinks();
+  cn::obs::MetricsSnapshotter::stop_global();
+  for (const char* sink : {"metrics", "trace"})
+    if (const std::string path = cfg.str(sink + std::string("_out")); !path.empty())
+      std::printf("%s -> %s\n", sink, path.c_str());
+  return 0;
 }
 
 int list_targets(const char* argv0) {
@@ -148,109 +75,7 @@ int list_targets(const char* argv0) {
   return 0;
 }
 
-Args parse(int argc, char** argv) {
-  Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string k = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (k == "--net") a.net = next();
-    else if (k == "--dataset") a.dataset = next();
-    else if (k == "--sigma") a.sigma = std::strtof(next(), nullptr);
-    else if (k == "--epochs") a.epochs = std::atoi(next());
-    else if (k == "--comp-epochs") a.comp_epochs = std::atoi(next());
-    else if (k == "--beta") a.beta = std::strtof(next(), nullptr);
-    else if (k == "--lambda-min") a.lambda_min = std::strtof(next(), nullptr);
-    else if (k == "--warmup") a.warmup = std::atoi(next());
-    else if (k == "--ratio") a.ratio = std::strtof(next(), nullptr);
-    else if (k == "--max-layers") a.max_layers = std::atoi(next());
-    else if (k == "--mc") a.mc = std::atoi(next());
-    else if (k == "--rl") a.rl = true;
-    else if (k == "--train") a.train = std::atoll(next());
-    else if (k == "--test") a.test = std::atoll(next());
-    else if (k == "--save-prefix") a.save_prefix = next();
-    else if (k == "--target") a.target = next();
-    else if (k == "--fusion") retired_fusion_flag(argv[0]);
-    else if (k == "--metrics-out") a.metrics_out = next();
-    else if (k == "--trace-out") a.trace_out = next();
-    else if (k == "--log-level") a.log_level = next();
-    else if (k == "--statusz-port") a.statusz_port = std::atoll(next());
-    else if (k == "--metrics-stream") a.metrics_stream = next();
-    else usage(argv[0]);
-  }
-  return a;
-}
-
 // ---------- faults subcommand ----------
-
-struct FaultArgs {
-  std::string config;  // key=value campaign file; empty = built-in quick grid
-  std::string out = "faultsim_report.json";
-  bool remap = false; // force the fault-aware remapping axis on
-  int epochs = 3;
-  int comp_epochs = 3;
-  float sigma = 0.5f;
-  int64_t train = 800;
-  int64_t test = 200;
-  bool quiet = false;  // shorthand for --log-level quiet (wins)
-  // (campaign key, value) overrides from kKeyFlags, applied in flag order.
-  std::vector<std::pair<std::string, std::string>> keys;
-};
-
-// Flags that each override one campaign config key. The value goes into the
-// KeyValueConfig verbatim, so the strict parser and the Campaign ctor reject
-// a bad one exactly as they would in a config file ('--chips abc' exits 2
-// instead of silently running the config's chip count).
-constexpr std::pair<const char*, const char*> kKeyFlags[] = {
-    {"--chips", "chips"},
-    {"--parallel", "parallel_scenarios"},
-    {"--target", "target"},
-    {"--metrics-out", "metrics_out"},
-    {"--trace-out", "trace_out"},
-    {"--log-level", "log_level"},
-    {"--statusz-port", "statusz_port"},
-    {"--metrics-stream", "metrics_stream"},
-};
-
-[[noreturn]] void usage_faults(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s faults [--config PATH] [--out PATH] [--chips N]\n"
-               "          [--epochs N] [--comp-epochs N] [--train N] [--test N]\n"
-               "          [--sigma S] [--remap] [--parallel N] [--target NAME]\n"
-               "          [--metrics-out F] [--trace-out F]\n"
-               "          [--log-level quiet|info|debug] [--quiet]\n"
-               "          [--statusz-port N] [--metrics-stream F]\n",
-               argv0);
-  std::exit(2);
-}
-
-FaultArgs parse_faults(int argc, char** argv) {
-  FaultArgs a;
-  for (int i = 2; i < argc; ++i) {
-    const std::string k = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage_faults(argv[0]);
-      return argv[++i];
-    };
-    const auto* key = std::find_if(std::begin(kKeyFlags), std::end(kKeyFlags),
-                                   [&](const auto& f) { return k == f.first; });
-    if (key != std::end(kKeyFlags)) a.keys.emplace_back(key->second, next());
-    else if (k == "--config") a.config = next();
-    else if (k == "--fusion") retired_fusion_flag(argv[0]);
-    else if (k == "--out") a.out = next();
-    else if (k == "--remap") a.remap = true;
-    else if (k == "--epochs") a.epochs = std::atoi(next());
-    else if (k == "--comp-epochs") a.comp_epochs = std::atoi(next());
-    else if (k == "--train") a.train = std::atoll(next());
-    else if (k == "--test") a.test = std::atoll(next());
-    else if (k == "--sigma") a.sigma = std::strtof(next(), nullptr);
-    else if (k == "--quiet") a.quiet = true;
-    else usage_faults(argv[0]);
-  }
-  return a;
-}
 
 // The grid used when no --config is given: one severity ladder per fault
 // kind, small enough for smoke runs.
@@ -265,46 +90,39 @@ constexpr const char* kDefaultCampaign =
 
 int run_faults(int argc, char** argv) {
   using namespace cn;
-  const FaultArgs args = parse_faults(argc, argv);
+  const core::KeyValueConfig args =
+      parse_flags(faults_knobs(), argc, argv, 2, " faults [flags]");
 
   // Load and parse the campaign grid first: a bad --config path or value
-  // must fail before minutes of training, not after. Flag overrides go
-  // through KeyValueConfig::set (the parser rejects duplicate keys).
-  std::string metrics_path, trace_path;
+  // must fail before minutes of training, not after. Flags beat file keys.
+  const std::string config = args.str("config");
+  core::KeyValueConfig grid;
   faultsim::Campaign campaign = [&] {
     try {
-      core::KeyValueConfig cfg =
-          args.config.empty()
-              ? core::KeyValueConfig::from_string(kDefaultCampaign)
-              : core::KeyValueConfig::from_file(args.config);
-      for (const auto& [key, value] : args.keys) cfg.set(key, value);
-      if (args.remap) cfg.set("remap", "1");
-      // The campaign's per-scenario progress logs at debug; the faults
-      // frontend keeps it visible by default (matching the CLI's historical
-      // output), unless the config or a flag says otherwise. --quiet wins.
-      if (args.quiet) cfg.set("log_level", "quiet");
-      else if (!cfg.has("log_level")) cfg.set("log_level", "debug");
-      metrics_path = cfg.str("metrics_out");
-      trace_path = cfg.str("trace_out");
-      return faultsim::campaign_from_config(cfg);
+      grid = config.empty() ? core::KeyValueConfig::from_string(kDefaultCampaign)
+                            : core::KeyValueConfig::from_file(config);
+      grid.merge(args, faultsim::campaign_knobs());
+      if (args.boolean("quiet")) grid.set("log_level", "quiet");
+      grid.check(faultsim::campaign_knobs());  // finish_sinks reads it
+      return faultsim::campaign_from_config(grid);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "bad campaign config%s%s: %s\n",
-                   args.config.empty() ? "" : " ", args.config.c_str(), e.what());
+                   config.empty() ? "" : " ", config.c_str(), e.what());
       std::exit(2);
     }
   }();
 
   data::DigitsSpec spec;
-  spec.train_count = args.train;
-  spec.test_count = args.test;
+  spec.train_count = args.integer("train");
+  spec.test_count = args.integer("test");
   data::SplitDataset ds = data::make_digits(spec);
 
   core::PipelineConfig cfg;
   cfg.name = "faults-lenet-digits";
-  cfg.sigma = args.sigma;
-  cfg.base_train.epochs = args.epochs;
-  cfg.lipschitz_train.epochs = args.epochs;
-  cfg.comp_train.epochs = args.comp_epochs;
+  cfg.sigma = static_cast<float>(args.number("sigma"));
+  cfg.base_train.epochs = static_cast<int>(args.integer("epochs"));
+  cfg.lipschitz_train.epochs = cfg.base_train.epochs;
+  cfg.comp_train.epochs = static_cast<int>(args.integer("comp_epochs"));
   cfg.comp_train.lr = 2e-3f;
   cfg.mc.samples = 4;  // pipeline-internal MC; the campaign does the real sweep
   cfg.plan_mode = core::PlanMode::kFixedRatio;
@@ -376,76 +194,68 @@ int run_faults(int argc, char** argv) {
                 100.0 * report.mean_accuracy("baseline", false),
                 100.0 * report.mean_accuracy("baseline", true),
                 static_cast<long long>(report.total_absorbed()));
-  report.write_json(args.out);
-  std::printf("report -> %s\n", args.out.c_str());
-  obs::MetricsSnapshotter::stop_global();  // final partial-interval line
-  // Campaign::run already wrote these (config keys metrics_out/trace_out);
-  // just point at them.
-  if (!metrics_path.empty()) std::printf("metrics -> %s\n", metrics_path.c_str());
-  if (!trace_path.empty()) std::printf("trace -> %s\n", trace_path.c_str());
-  return 0;
+  report.write_json(args.str("out"));
+  std::printf("report -> %s\n", args.str("out").c_str());
+  return finish_sinks(grid);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace cn;
-  // Environment observability hookup first (CORRECTNET_METRICS / _TRACE /
-  // _LOG), so it covers every command including the subcommands; flags below
-  // layer on top.
+  const bool faults = argc > 1 && std::strcmp(argv[1], "faults") == 0;
+  // faults keeps per-scenario progress (logged at debug) visible by default;
+  // the environment, the config file and the flags all override that.
+  if (faults) obs::Logger::global().set_level(obs::LogLevel::kDebug);
+  // Each command calls obs::configure once, with every layer merged; the two
+  // that do no work still apply (and so check) the environment.
+  const bool version = argc > 1 && std::strcmp(argv[1], "--version") == 0;
+  const bool list = argc > 1 && std::strcmp(argv[1], "--list-targets") == 0;
   try {
-    obs::init_from_env();
+    if (version || list) obs::init_from_env();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
   }
-  if (argc > 1 && std::strcmp(argv[1], "--version") == 0) {
+  if (version) {
     std::printf("%s\n", obs::build_info_line().c_str());
     return 0;
   }
-  if (argc > 1 && std::strcmp(argv[1], "--list-targets") == 0)
-    return list_targets(argv[0]);
-  if (argc > 1 && std::strcmp(argv[1], "faults") == 0) return run_faults(argc, argv);
-  const Args args = parse(argc, argv);
-  if (!args.target.empty()) apply_target(argv[0], args.target);
-  if (args.statusz_port >= 0 || !args.metrics_stream.empty()) {
-    try {
-      if (args.statusz_port >= 0)
-        obs::ExpositionServer::start_global(
-            static_cast<int>(args.statusz_port))
-            .set_ready(true);
-      if (!args.metrics_stream.empty())
-        obs::MetricsSnapshotter::start_global(args.metrics_stream);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
+  if (list) return list_targets(argv[0]);
+  if (faults) return run_faults(argc, argv);
+  const core::KeyValueConfig args =
+      parse_flags(cli_knobs(), argc, argv, 1, kMainUsage);
+  try {
+    // Sets the process-wide default execution target: everything that
+    // programs crossbars after this lowers through it.
+    if (!args.str("target").empty()) exec::set_default_target(args.str("target"));
+    obs::configure(args);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
   }
-  if (!args.log_level.empty()) {
-    try {
-      obs::Logger::global().set_level(obs::parse_log_level(args.log_level));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
-  }
-  if (!args.trace_out.empty()) obs::Tracer::global().set_enabled(true);
+  if (obs::ExpositionServer* srv = obs::ExpositionServer::global())
+    srv->set_ready(true);
 
   // Dataset.
+  const std::string net = args.str("net");
+  const std::string dataset = args.str("dataset");
+  const int64_t train = args.integer("train");
+  const int64_t test = args.integer("test");
   data::SplitDataset ds;
   int num_classes = 10;
   int64_t in_c = 1, in_hw = 28;
-  if (args.dataset == "digits") {
+  if (dataset == "digits") {
     data::DigitsSpec spec;
-    spec.train_count = args.train;
-    spec.test_count = args.test;
+    spec.train_count = train;
+    spec.test_count = test;
     ds = data::make_digits(spec);
-  } else if (args.dataset == "objects10" || args.dataset == "objects100") {
+  } else if (dataset == "objects10" || dataset == "objects100") {
     data::ObjectsSpec spec;
-    spec.num_classes = (args.dataset == "objects100") ? 100 : 10;
+    spec.num_classes = (dataset == "objects100") ? 100 : 10;
     num_classes = static_cast<int>(spec.num_classes);
-    spec.train_count = args.train;
-    spec.test_count = args.test;
+    spec.train_count = train;
+    spec.test_count = test;
     if (num_classes >= 100) {
       spec.noise_std = 0.35f;
       spec.class_similarity = 0.4f;
@@ -459,33 +269,39 @@ int main(int argc, char** argv) {
     in_c = 3;
     in_hw = 32;
   } else {
-    usage(argv[0]);
+    examples::usage(argv[0], cli_knobs(), "unknown dataset '" + dataset + "'",
+                    kMainUsage);
   }
 
+  const float sigma = static_cast<float>(args.number("sigma"));
+  const int mc = static_cast<int>(args.integer("mc"));
+  const bool rl = args.boolean("rl");
   core::PipelineConfig cfg;
-  cfg.name = args.net + "-" + args.dataset;
-  cfg.sigma = args.sigma;
-  cfg.base_train.epochs = args.epochs;
-  cfg.lipschitz_train.epochs = args.epochs;
-  cfg.lipschitz_train.lipschitz.beta = args.beta;
-  cfg.lipschitz_train.lipschitz.lambda_min = args.lambda_min;
-  cfg.lipschitz_train.lipschitz_warmup_epochs = args.warmup;
-  cfg.comp_train.epochs = args.comp_epochs;
+  cfg.name = net + "-" + dataset;
+  cfg.sigma = sigma;
+  cfg.base_train.epochs = static_cast<int>(args.integer("epochs"));
+  cfg.lipschitz_train.epochs = cfg.base_train.epochs;
+  cfg.lipschitz_train.lipschitz.beta = static_cast<float>(args.number("beta"));
+  cfg.lipschitz_train.lipschitz.lambda_min =
+      static_cast<float>(args.number("lambda_min"));
+  cfg.lipschitz_train.lipschitz_warmup_epochs =
+      static_cast<int>(args.integer("warmup"));
+  cfg.comp_train.epochs = static_cast<int>(args.integer("comp_epochs"));
   cfg.comp_train.lr = 2e-3f;
-  cfg.mc.samples = args.mc;
-  cfg.fixed_ratio = args.ratio;
-  cfg.max_candidates = args.max_layers;
-  cfg.plan_mode = args.rl ? core::PlanMode::kRl : core::PlanMode::kFixedRatio;
-  if (args.rl) {
+  cfg.mc.samples = mc;
+  cfg.fixed_ratio = static_cast<float>(args.number("ratio"));
+  cfg.max_candidates = static_cast<int>(args.integer("max_layers"));
+  cfg.plan_mode = rl ? core::PlanMode::kRl : core::PlanMode::kFixedRatio;
+  if (rl) {
     cfg.search.reinforce.iterations = 10;
     cfg.search.comp_train.epochs = 1;
-    cfg.search.mc.samples = std::max(3, args.mc / 4);
+    cfg.search.mc.samples = std::max(3, mc / 4);
     cfg.search.overhead_limit = 0.05f;
   }
   cfg.log = [](const std::string& s) { std::printf("%s\n", s.c_str()); };
 
   auto make_model = [&](Rng& rng) -> nn::Sequential {
-    if (args.net == "vgg") {
+    if (net == "vgg") {
       models::VggConfig vcfg;
       vcfg.num_classes = num_classes;
       return models::vgg16(vcfg, rng);
@@ -496,7 +312,7 @@ int main(int argc, char** argv) {
   core::PipelineResult r =
       core::run_correctnet(make_model, ds.train, ds.test, cfg);
 
-  std::printf("\n==== %s, sigma = %.2f ====\n", cfg.name.c_str(), args.sigma);
+  std::printf("\n==== %s, sigma = %.2f ====\n", cfg.name.c_str(), sigma);
   std::printf("clean:       baseline %.2f%%, lipschitz %.2f%%\n",
               100.0 * r.clean_acc_base, 100.0 * r.clean_acc_lipschitz);
   std::printf("variations:  baseline %.2f%% +- %.2f%%\n", 100.0 * r.base_var.mean,
@@ -507,20 +323,12 @@ int main(int argc, char** argv) {
               100.0 * r.corrected_var.mean, 100.0 * r.corrected_var.stddev,
               100.0 * r.overhead, static_cast<long long>(r.comp_layers));
 
-  if (!args.save_prefix.empty()) {
-    nn::save_weights(r.base_model, args.save_prefix + "_base.wts");
-    nn::save_weights(r.lipschitz_model, args.save_prefix + "_lip.wts");
-    nn::save_weights(r.corrected_model, args.save_prefix + "_corrected.wts");
-    std::printf("weights saved with prefix %s\n", args.save_prefix.c_str());
+  const std::string save_prefix = args.str("save_prefix");
+  if (!save_prefix.empty()) {
+    nn::save_weights(r.base_model, save_prefix + "_base.wts");
+    nn::save_weights(r.lipschitz_model, save_prefix + "_lip.wts");
+    nn::save_weights(r.corrected_model, save_prefix + "_corrected.wts");
+    std::printf("weights saved with prefix %s\n", save_prefix.c_str());
   }
-  if (!args.metrics_out.empty()) {
-    obs::metrics().write_json(args.metrics_out);
-    std::printf("metrics -> %s\n", args.metrics_out.c_str());
-  }
-  if (!args.trace_out.empty()) {
-    obs::Tracer::global().write_json(args.trace_out);
-    std::printf("trace -> %s\n", args.trace_out.c_str());
-  }
-  obs::MetricsSnapshotter::stop_global();  // final partial-interval line
-  return 0;
+  return finish_sinks(args);
 }

@@ -16,14 +16,17 @@
 // point i gets its own farm keyed exactly like McEngine::sensitivity_sweep's
 // reconfigure (seed base + i*stride, injection start i), so every printed
 // number is bit-identical to the sequential sweep.
+//
+// Every flag is a core::Knob row (frontend_knobs.h): an unknown flag or a
+// malformed value prints the generated usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
+#include "core/config.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "faultsim/fault_models.h"
+#include "frontend_knobs.h"
 #include "models/lenet.h"
 #include "runtime/chip_farm.h"
 #include "runtime/mc_engine.h"
@@ -62,24 +65,15 @@ std::vector<cn::core::SensitivityPoint> sweep_points(
 
 int main(int argc, char** argv) {
   using namespace cn;
-  double rate = 0.05;
-  int chips = 6;
-  int64_t spare = -1;     // <0 = remap comparison off
-  int64_t parallel = 1;   // sweep-point concurrency; 0 = auto
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc)
-      rate = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "--chips") == 0 && i + 1 < argc)
-      chips = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--spare") == 0 && i + 1 < argc)
-      spare = std::atoll(argv[++i]);
-    else if (std::strcmp(argv[i], "--parallel") == 0 && i + 1 < argc)
-      parallel = std::atoll(argv[++i]);
-  }
-  if (parallel < 0) {  // fail loudly, like correctnet_cli faults --parallel
-    std::fprintf(stderr, "fault_sweep: --parallel must be >= 0 (0 = auto)\n");
-    return 2;
-  }
+  const core::KeyValueConfig flags =
+      examples::parse_flags(examples::sweep_knobs(), argc, argv, 1);
+  const double rate = flags.number("rate");
+  const int chips = static_cast<int>(flags.integer("chips"));
+  const int64_t spare = flags.integer("spare");
+  const int64_t parallel = flags.integer("parallel");
+  if (parallel < 0)  // fail loudly, like correctnet_cli faults --parallel
+    examples::usage(argv[0], examples::sweep_knobs(),
+                    "--parallel must be >= 0 (0 = auto)");
 
   data::DigitsSpec spec;
   spec.train_count = 800;

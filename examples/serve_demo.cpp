@@ -10,27 +10,11 @@
 // drill — N workers of one lane degraded/remapped/evicted between two
 // traffic phases while /healthz is queried through the degraded window.
 //
-// Flags (all optional):
-//   --statusz-port N     serve /metrics, /healthz, /statusz on 127.0.0.1:N
-//                        while the demo runs (0 = ephemeral; port printed)
-//   --linger-s S         keep the process (and the exposition server) alive S
-//                        seconds after serving finishes — lets `curl` inspect
-//                        the endpoints post-run (CI does exactly this)
-//   --slo-p99-ms X       latency objective p99 < X ms (default 50; 0 = off)
-//   --models a,b         serving-policy mode: route across these model ids
-//   --config FILE        serving-policy mode: key=value serving config
-//                        (docs/CONFIG.md serving table); flags override
-//   --queue-limit N      admission: bounded per-model queue
-//   --queue-budget-us N  admission: estimated-wait latency budget
-//   --drill RATE         mid-traffic stuck-at drill at this cell-fault rate
-//   --drill-action A     degrade | evict | remap (default remap)
-//   --drill-hold-s S     hold the process S seconds inside the degraded
-//                        window (statusz live) so an external prober can
-//                        watch /healthz through it
+// Every flag is a core::Knob row (frontend_knobs.h); a bad flag prints the
+// usage generated from them and exits 2. docs/CONFIG.md says what each one
+// means.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <future>
 #include <mutex>
 #include <string>
@@ -41,6 +25,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "faultsim/fault_models.h"
+#include "frontend_knobs.h"
 #include "models/lenet.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -53,6 +38,8 @@
 
 namespace {
 
+using cn::examples::demo_knobs;
+
 struct PhaseResult {
   int64_t ok = 0;        // futures that resolved with an output
   int64_t rejected = 0;  // admission-rejected (typed Overloaded)
@@ -60,13 +47,15 @@ struct PhaseResult {
   int64_t correct = 0;   // of ok, correctly classified
 };
 
-// One traffic phase: `count` requests round-robined across the router's
-// models from 3 client threads, then every future drained.
-PhaseResult run_phase(cn::runtime::ModelRouter& router,
-                      const std::vector<std::string>& ids,
+constexpr int kClients = 3;
+
+// One traffic phase: `count` requests round-robined across the model `ids`
+// from kClients client threads through `submit(id, image)`, then every
+// future drained.
+template <class Submit>
+PhaseResult run_phase(Submit submit, const std::vector<std::string>& ids,
                       const cn::data::Dataset& test, int64_t count) {
   using cn::Tensor;
-  constexpr int kClients = 3;
   std::mutex mu;
   std::vector<std::tuple<int64_t, std::future<Tensor>>> futs;
   std::vector<std::thread> clients;
@@ -77,7 +66,7 @@ PhaseResult run_phase(cn::runtime::ModelRouter& router,
         const int64_t n = c * per_client + i;
         const int64_t idx = n % test.size();
         const std::string& id = ids[static_cast<size_t>(n) % ids.size()];
-        auto fut = router.submit(id, test.image(idx));
+        auto fut = submit(id, test.image(idx));
         std::lock_guard<std::mutex> lk(mu);
         futs.emplace_back(idx, std::move(fut));
       }
@@ -106,60 +95,41 @@ PhaseResult run_phase(cn::runtime::ModelRouter& router,
 
 int main(int argc, char** argv) {
   using namespace cn;
+  // The demo's latency objective (small-model latencies are sub-ms; 50 ms =
+  // healthy) is a default: CORRECTNET_SLO_P99_MS and --slo-p99-ms beat it.
+  obs::set_default_slo_p99_ms(50);
+  const core::KeyValueConfig flags =
+      examples::parse_flags(demo_knobs(), argc, argv, 1);
+  runtime::ServingConfig sc;
+  bool policy_mode = false;
   try {
-    obs::init_from_env();  // CORRECTNET_METRICS / _TRACE / _LOG / _STATUSZ_PORT...
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 2;
-  }
-
-  int64_t statusz_port = -1;
-  double linger_s = 0;
-  double slo_p99_ms = 50;  // small-model latencies are sub-ms; 50ms = healthy
-  std::string models_flag, config_path, drill_action_flag;
-  int64_t queue_limit = -1, queue_budget_us = -1;
-  double drill_rate = 0;
-  double drill_hold_s = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string k = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "usage: %s [--statusz-port N] [--linger-s S] "
-                     "[--slo-p99-ms X] [--models a,b] [--config FILE] "
-                     "[--queue-limit N] [--queue-budget-us N] [--drill RATE] "
-                     "[--drill-action degrade|evict|remap] [--drill-hold-s S]\n",
-                     argv[0]);
-        std::exit(2);
+    obs::configure(flags);  // the flags over the CORRECTNET_* variables
+    // Serving-policy mode (--models, --config or --drill) is parsed up front
+    // too, so a bad deployment fails before training. Flags beat file keys;
+    // --drill RATE is shorthand for a stuck-at drill at that cell-fault rate.
+    const std::string config = flags.str("config");
+    // (`models` has a row default, so ask whether the flag was given.)
+    policy_mode = (flags.has("models") && !flags.str("models").empty()) ||
+                  !config.empty() || flags.number("drill") > 0;
+    if (policy_mode) {
+      core::KeyValueConfig kcfg;
+      if (!config.empty()) kcfg = core::KeyValueConfig::from_file(config);
+      kcfg.merge(flags, runtime::serving_knobs());
+      if (flags.number("drill") > 0) {
+        kcfg.set("drill.kind", "stuck_at");
+        kcfg.set("drill.severity", flags.str("drill"));
       }
-      return argv[++i];
-    };
-    if (k == "--statusz-port") statusz_port = std::atoll(next());
-    else if (k == "--linger-s") linger_s = std::atof(next());
-    else if (k == "--slo-p99-ms") slo_p99_ms = std::atof(next());
-    else if (k == "--models") models_flag = next();
-    else if (k == "--config") config_path = next();
-    else if (k == "--queue-limit") queue_limit = std::atoll(next());
-    else if (k == "--queue-budget-us") queue_budget_us = std::atoll(next());
-    else if (k == "--drill") drill_rate = std::atof(next());
-    else if (k == "--drill-action") drill_action_flag = next();
-    else if (k == "--drill-hold-s") drill_hold_s = std::atof(next());
-    else {
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], k.c_str());
-      return 2;
+      sc = runtime::serving_from_config(kcfg);
     }
+  } catch (const std::exception& e) {
+    examples::usage(argv[0], demo_knobs(), e.what());
   }
-  const bool policy_mode =
-      !models_flag.empty() || !config_path.empty() || drill_rate > 0;
+  const double linger_s = flags.number("linger_s");
 
   std::printf("== serve_demo: micro-batched inference over a chip farm ==\n");
-  if (statusz_port >= 0) {
-    obs::ExpositionServer& srv =
-        obs::ExpositionServer::start_global(static_cast<int>(statusz_port));
-    std::printf("[obs] statusz on http://127.0.0.1:%d (/metrics /healthz "
-                "/statusz) — not ready until the farm is programmed\n",
-                srv.port());
-  }
+  if (const obs::ExpositionServer* srv = obs::ExpositionServer::global())
+    std::printf("[obs] statusz on http://127.0.0.1:%d (/metrics /healthz /statusz)\n",
+                srv->port());
 
   data::DigitsSpec spec;
   spec.train_count = 600;
@@ -175,19 +145,6 @@ int main(int argc, char** argv) {
 
   if (policy_mode) {
     // ---- serving-policy mode: ModelRouter + admission + fault drill ----
-    core::KeyValueConfig kcfg;
-    if (!config_path.empty()) kcfg = core::KeyValueConfig::from_file(config_path);
-    if (!models_flag.empty()) kcfg.set("models", models_flag);
-    if (queue_limit >= 0) kcfg.set("queue_limit", std::to_string(queue_limit));
-    if (queue_budget_us >= 0)
-      kcfg.set("queue_budget_us", std::to_string(queue_budget_us));
-    if (drill_rate > 0) {
-      kcfg.set("drill.kind", "stuck_at");
-      kcfg.set("drill.severity", std::to_string(drill_rate));
-    }
-    if (!drill_action_flag.empty()) kcfg.set("drill.action", drill_action_flag);
-    const runtime::ServingConfig sc = runtime::serving_from_config(kcfg);
-
     runtime::ModelRouterOptions ro;
     ro.max_live_total = sc.live_slots;
     runtime::ModelRouter router(ro);
@@ -205,7 +162,7 @@ int main(int argc, char** argv) {
       so.queue_limit = sc.queue_limit;
       so.queue_budget_us = sc.queue_budget_us;
       so.admission_burn_max = sc.admission_burn_max;
-      so.slo_p99_ms = sc.slo_p99_ms > 0 ? sc.slo_p99_ms : slo_p99_ms;
+      so.slo_p99_ms = sc.slo_p99_ms;  // 0 adopts the process default
       if (crossbar) {
         // Drills inject device faults: lanes need the crossbar substrate.
         analog::RramDeviceParams dev;
@@ -227,8 +184,11 @@ int main(int argc, char** argv) {
                 static_cast<long long>(sc.queue_budget_us));
 
     const int64_t phase_requests = 3 * ds.test.size();
+    auto submit = [&](const std::string& id, Tensor x) {
+      return router.submit(id, std::move(x));
+    };
     const PhaseResult before =
-        run_phase(router, sc.models, ds.test, phase_requests);
+        run_phase(submit, sc.models, ds.test, phase_requests);
     std::printf("[serve] phase 1: %lld ok, %lld rejected, %lld failed, "
                 "accuracy %.3f\n",
                 static_cast<long long>(before.ok),
@@ -257,13 +217,14 @@ int main(int argc, char** argv) {
                   sc.drill_action.c_str(), victim.c_str(),
                   sc.drill_kind.c_str(), sc.drill_severity);
       router.drill(victim, drill);
-      after = run_phase(router, sc.models, ds.test, phase_requests);
+      after = run_phase(submit, sc.models, ds.test, phase_requests);
       if (obs::ExpositionServer* srv = obs::ExpositionServer::global()) {
         int code = 0;
         srv->handle("/healthz", &code);
         std::printf("[drill] healthz during drill: %d\n", code);
       }
-      if (drill_hold_s > 0) {
+      if (const double drill_hold_s = flags.number("drill_hold_s");
+          drill_hold_s > 0) {
         std::printf("[drill] holding degraded window %.1fs for external "
                     "probes...\n",
                     drill_hold_s);
@@ -310,38 +271,17 @@ int main(int argc, char** argv) {
   runtime::InferenceServerOptions so;
   so.max_batch = 16;
   so.max_wait_us = 1500;
-  so.workers = 2;
-  so.slo_p99_ms = slo_p99_ms;  // server ctor flips /healthz to ready
+  so.workers = 2;  // objective: the process default; ctor flips /healthz
   runtime::InferenceServer server(farm, so);
 
-  constexpr int kClients = 3;
-  const int64_t per_client = ds.test.size() / kClients;
   std::printf("[serve] %d clients x %lld requests, max_batch=%lld, "
               "max_wait=%lldus, workers=%d\n",
-              kClients, static_cast<long long>(per_client),
+              kClients, static_cast<long long>(ds.test.size() / kClients),
               static_cast<long long>(so.max_batch),
               static_cast<long long>(so.max_wait_us), so.workers);
-
-  std::mutex mu;
-  std::vector<std::pair<int64_t, std::future<Tensor>>> futs;
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c)
-    clients.emplace_back([&, c] {
-      for (int64_t i = 0; i < per_client; ++i) {
-        const int64_t idx = c * per_client + i;
-        auto fut = server.submit(ds.test.image(idx));
-        std::lock_guard<std::mutex> lk(mu);
-        futs.emplace_back(idx, std::move(fut));
-      }
-    });
-  for (auto& c : clients) c.join();
-
-  int64_t correct = 0;
-  for (auto& [idx, fut] : futs) {
-    Tensor logits = fut.get();
-    logits.reshape({1, logits.size()});
-    if (argmax_row(logits, 0) == ds.test.labels[static_cast<size_t>(idx)]) ++correct;
-  }
+  const PhaseResult res = run_phase(
+      [&](const std::string&, Tensor x) { return server.submit(std::move(x)); },
+      {"default"}, ds.test, ds.test.size());
 
   // The one formatting of the stats snapshot — percentiles included — lives
   // on ServerStats itself; no more hand-rolled averages here. The server is
@@ -351,7 +291,7 @@ int main(int argc, char** argv) {
   const runtime::ServerStats st = server.stats();
   std::printf("[serve] %s\n", st.summary().c_str());
   std::printf("[serve] accuracy under variation: %.3f\n",
-              static_cast<double>(correct) / static_cast<double>(futs.size()));
+              static_cast<double>(res.correct) / static_cast<double>(res.ok));
 
   if (linger_s > 0) {
     // The server object (and its /statusz section) stays alive through the
@@ -361,5 +301,5 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::duration<double>(linger_s));
   }
   std::printf("done.\n");
-  return 0;
+  return res.failed == 0 ? 0 : 1;
 }

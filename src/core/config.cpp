@@ -10,25 +10,132 @@
 namespace cn::core {
 
 namespace {
-// Same full-parse rule as a config file value: 'CORRECTNET_EPOCHS=1O'
-// silently meaning 1 would mis-size runs.
-int64_t env_int(const char* name, int64_t def) {
-  KeyValueConfig env;
-  if (const char* v = std::getenv(name)) env.set(name, v);
-  return env.integer(name, def);
+
+std::string trimmed(const std::string& s) {
+  const auto b = s.find_first_not_of(" \t\r");
+  if (b == std::string::npos) return "";
+  const auto e = s.find_last_not_of(" \t\r");
+  return s.substr(b, e - b + 1);
 }
+
+// Full parses: '1O' silently meaning 1 would mis-size runs. "" reads as 0.
+template <class T, class Sto>
+T parse_full(const std::string& v, const std::string& where, const char* what,
+             Sto sto) {
+  size_t pos = 0;
+  T parsed{};
+  try {
+    if (!v.empty()) parsed = sto(v, &pos);
+  } catch (...) {
+    pos = v.size() + 1;
+  }
+  if (pos != v.size())
+    throw std::runtime_error(std::string("KeyValueConfig: unparsable ") + what +
+                             " '" + v + "' in " + where);
+  return parsed;
+}
+
+int64_t parse_int(const std::string& v, const std::string& where) {
+  auto sto = [](const std::string& s, size_t* p) { return std::stoll(s, p); };
+  return parse_full<int64_t>(v, where, "integer", sto);
+}
+double parse_number(const std::string& v, const std::string& where) {
+  auto sto = [](const std::string& s, size_t* p) { return std::stod(s, p); };
+  return parse_full<double>(v, where, "number", sto);
+}
+
+// '2' or 'true' read as "on" would hide a typo behind a switched-on axis.
+bool parse_bool(const std::string& v, const std::string& where) {
+  if (v.empty() || v == "0" || v == "1") return v == "1";
+  throw std::runtime_error("KeyValueConfig: expected 0 or 1, got '" + v +
+                           "' in " + where);
+}
+
+// Comma-separated cells, trimmed, blanks skipped. A typo'd cell must fail
+// loudly: silently dropping it would shrink a campaign grid.
+template <class T>
+std::vector<T> parse_cells(const std::string& v, const std::string& where,
+                           T (*parse)(const std::string&, const std::string&)) {
+  std::vector<T> out;
+  std::istringstream is(v);
+  std::string cell;
+  while (std::getline(is, cell, ','))
+    if (!(cell = trimmed(cell)).empty()) out.push_back(parse(cell, where));
+  return out;
+}
+
+void check_value(const Knob& k, const std::string& v, const std::string& where) {
+  switch (k.type) {
+    case KnobType::kInt: parse_int(v, where); break;
+    case KnobType::kNumber: parse_number(v, where); break;
+    case KnobType::kBool: parse_bool(v, where); break;
+    case KnobType::kList: parse_cells(v, where, parse_number); break;
+    case KnobType::kIntList: parse_cells(v, where, parse_int); break;
+    case KnobType::kString: break;
+  }
+}
+
+const Knob* find_row(const Knobs& rows, const std::string& name) {
+  for (const Knob& k : rows)
+    if (k.name() == name) return &k;
+  return nullptr;
+}
+
+std::string in_key(const std::string& key) { return "key '" + key + "'"; }
+
 }  // namespace
+
+const char* type_name(KnobType t) {
+  static const char* const kNames[] = {"int",      "number", "list",
+                                       "int list", "0|1",    "string"};
+  return kNames[static_cast<int>(t)];
+}
+
+const Knob& knob(const Knobs& rows, const std::string& name) {
+  const Knob* k = find_row(rows, name);
+  if (!k) throw std::logic_error("KeyValueConfig: '" + name + "' is not a declared knob");
+  return *k;
+}
+
+void append(Knobs& to, const Knobs& from, const std::vector<std::string>& names) {
+  for (const std::string& n : names) to.push_back(knob(from, n));
+}
+
+std::string flag_usage(const Knobs& rows) {
+  std::string out;
+  for (const Knob& k : rows)
+    if (!k.flag.empty() && k.retired.empty())
+      out += "  " + k.flag +
+             (k.type == KnobType::kBool ? "" : std::string(" ") + type_name(k.type)) +
+             (k.type == KnobType::kBool || k.def.empty() ? "" : " (default " + k.def + ")") +
+             "\n";
+  return out + "  (docs/CONFIG.md says what each one means)\n";
+}
+
+// ---------- RuntimeConfig ----------
 
 int RuntimeConfig::epochs(int base) const {
   return std::max(1, static_cast<int>(base * epoch_scale + 0.5));
 }
 
+const Knobs& RuntimeConfig::knobs() {
+  // {key, type, default, flag, env}
+  static const Knobs rows = {
+      {"", KnobType::kInt, "25", "", "CORRECTNET_MC"},
+      {"", KnobType::kInt, "100", "", "CORRECTNET_EPOCHS"},
+      {"", KnobType::kInt, "4000", "", "CORRECTNET_TRAIN"},
+      {"", KnobType::kInt, "800", "", "CORRECTNET_TEST"},
+  };
+  return rows;
+}
+
 RuntimeConfig RuntimeConfig::from_env() {
+  const KeyValueConfig env = KeyValueConfig::from_env(knobs());
   RuntimeConfig c;
-  c.mc_samples = static_cast<int>(env_int("CORRECTNET_MC", 25));
-  c.epoch_scale = static_cast<double>(env_int("CORRECTNET_EPOCHS", 100)) / 100.0;
-  c.train_cap = env_int("CORRECTNET_TRAIN", 4000);
-  c.test_cap = env_int("CORRECTNET_TEST", 800);
+  c.mc_samples = static_cast<int>(env.integer("CORRECTNET_MC"));
+  c.epoch_scale = static_cast<double>(env.integer("CORRECTNET_EPOCHS")) / 100.0;
+  c.train_cap = env.integer("CORRECTNET_TRAIN");
+  c.test_cap = env.integer("CORRECTNET_TEST");
   return c;
 }
 
@@ -37,14 +144,7 @@ const RuntimeConfig& RuntimeConfig::get() {
   return cfg;
 }
 
-namespace {
-std::string trimmed(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-}  // namespace
+// ---------- KeyValueConfig ----------
 
 KeyValueConfig KeyValueConfig::from_file(const std::string& path) {
   std::ifstream is(path);
@@ -90,6 +190,44 @@ KeyValueConfig KeyValueConfig::from_string(const std::string& text) {
   return cfg;
 }
 
+KeyValueConfig KeyValueConfig::from_env(const Knobs& rows) {
+  KeyValueConfig cfg;
+  for (const Knob& k : rows) {
+    if (k.env.empty()) continue;
+    // The one environment read in the tree: every CORRECTNET_* variable
+    // reaches the code through a row.
+    const char* v = std::getenv(k.env.c_str());
+    if (!v || !*v) continue;
+    if (!k.retired.empty()) throw std::runtime_error(k.env + " " + k.retired);
+    check_value(k, v, k.env);
+    cfg.kv_.emplace_back(k.name(), v);
+  }
+  cfg.rows_ = &rows;
+  return cfg;
+}
+
+KeyValueConfig KeyValueConfig::from_flags(const Knobs& rows, int argc,
+                                          const char* const* argv, int first) {
+  KeyValueConfig cfg;
+  for (int i = first; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const auto it = std::find_if(rows.begin(), rows.end(),
+                                 [&](const Knob& k) { return k.flag == flag; });
+    if (flag.empty() || it == rows.end())
+      throw std::runtime_error("unknown flag '" + flag + "'");
+    if (!it->retired.empty()) throw std::runtime_error(flag + " " + it->retired);
+    std::string value = "1";
+    if (it->type != KnobType::kBool) {
+      if (i + 1 >= argc) throw std::runtime_error("flag " + flag + " needs a value");
+      value = argv[++i];
+    }
+    check_value(*it, value, "flag " + flag);
+    cfg.set(it->name(), value);
+  }
+  cfg.rows_ = &rows;
+  return cfg;
+}
+
 void KeyValueConfig::set(const std::string& key, const std::string& value) {
   for (auto& kv : kv_) {
     if (kv.first == key) {
@@ -100,15 +238,24 @@ void KeyValueConfig::set(const std::string& key, const std::string& value) {
   kv_.emplace_back(key, value);
 }
 
-void KeyValueConfig::validate_keys(const std::vector<std::string>& known) const {
+void KeyValueConfig::merge(const KeyValueConfig& over, const Knobs& rows) {
+  for (const auto& [key, value] : over.kv_)
+    if (find_row(rows, key)) set(key, value);
+}
+
+void KeyValueConfig::check(const Knobs& rows) {
   std::string unknown;
-  for (const auto& kv : kv_) {
-    if (std::find(known.begin(), known.end(), kv.first) != known.end()) continue;
-    if (!unknown.empty()) unknown += ", ";
-    unknown += "'" + kv.first + "'";
+  for (const auto& [key, value] : kv_) {
+    const Knob* k = find_row(rows, key);
+    if (k && !k->retired.empty())
+      throw std::runtime_error("KeyValueConfig: key '" + key + "' " + k->retired);
+    if (!k) unknown += (unknown.empty() ? "'" : ", '") + key + "'";
   }
   if (!unknown.empty())
     throw std::runtime_error("KeyValueConfig: unknown key(s) " + unknown);
+  for (const auto& [key, value] : kv_)
+    check_value(*find_row(rows, key), value, in_key(key));
+  rows_ = &rows;
 }
 
 const std::string* KeyValueConfig::find(const std::string& key) const {
@@ -117,69 +264,28 @@ const std::string* KeyValueConfig::find(const std::string& key) const {
   return nullptr;
 }
 
-std::string KeyValueConfig::str(const std::string& key, const std::string& def) const {
-  const std::string* v = find(key);
-  return v ? *v : def;
+std::string KeyValueConfig::text(const std::string& name, bool empty_unset) const {
+  const std::string* v = find(name);
+  if (v && !(empty_unset && v->empty())) return *v;
+  if (!rows_) throw std::logic_error("KeyValueConfig: '" + name + "' read before check()");
+  return knob(*rows_, name).def;
 }
 
-int64_t KeyValueConfig::integer(const std::string& key, int64_t def) const {
-  const std::string* v = find(key);
-  if (!v || v->empty()) return def;
-  size_t pos = 0;
-  int64_t parsed = 0;
-  try {
-    parsed = std::stoll(*v, &pos);
-  } catch (...) {
-    pos = 0;
-  }
-  // Partial parses fail loudly: '1O' silently meaning 1 would mis-size runs.
-  if (pos != v->size())
-    throw std::runtime_error("KeyValueConfig: unparsable integer '" + *v +
-                             "' in key '" + key + "'");
-  return parsed;
+std::string KeyValueConfig::str(const std::string& n) const { return text(n, false); }
+int64_t KeyValueConfig::integer(const std::string& n) const {
+  return parse_int(text(n, true), in_key(n));
 }
-
-double KeyValueConfig::number(const std::string& key, double def) const {
-  const std::string* v = find(key);
-  if (!v || v->empty()) return def;
-  size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(*v, &pos);
-  } catch (...) {
-    pos = 0;
-  }
-  if (pos != v->size())
-    throw std::runtime_error("KeyValueConfig: unparsable number '" + *v +
-                             "' in key '" + key + "'");
-  return parsed;
+double KeyValueConfig::number(const std::string& n) const {
+  return parse_number(text(n, true), in_key(n));
 }
-
-std::vector<double> KeyValueConfig::numbers(const std::string& key,
-                                            std::vector<double> def) const {
-  const std::string* v = find(key);
-  if (!v) return def;
-  std::vector<double> out;
-  std::istringstream is(*v);
-  std::string cell;
-  while (std::getline(is, cell, ',')) {
-    cell = trimmed(cell);
-    if (cell.empty()) continue;
-    // A typo'd cell must fail loudly: silently dropping it would shrink a
-    // campaign grid with no trace in the report.
-    size_t pos = 0;
-    double parsed = 0.0;
-    try {
-      parsed = std::stod(cell, &pos);
-    } catch (...) {
-      pos = 0;
-    }
-    if (pos != cell.size())
-      throw std::runtime_error("KeyValueConfig: unparsable number '" + cell +
-                               "' in key '" + key + "'");
-    out.push_back(parsed);
-  }
-  return out;
+bool KeyValueConfig::boolean(const std::string& n) const {
+  return parse_bool(text(n, true), in_key(n));
+}
+std::vector<double> KeyValueConfig::numbers(const std::string& n) const {
+  return parse_cells(text(n, false), in_key(n), parse_number);
+}
+std::vector<int64_t> KeyValueConfig::integers(const std::string& n) const {
+  return parse_cells(text(n, false), in_key(n), parse_int);
 }
 
 }  // namespace cn::core

@@ -1,6 +1,5 @@
 #include "exec/target.h"
 
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 
@@ -60,11 +59,18 @@ void ensure_init_locked(Registry& r) {
   detail::append_simd_targets(r.targets);
   r.targets.push_back(detail::make_int8_target());
   r.builtin_default = find_locked(r, "simd");
-  if (const char* env = std::getenv("CORRECTNET_TARGET"); env && *env)
-    r.env_default = &resolve_locked(r, env, "CORRECTNET_TARGET");
+  const std::string env =
+      core::KeyValueConfig::from_env(knobs()).str("CORRECTNET_TARGET");
+  if (!env.empty()) r.env_default = &resolve_locked(r, env, "CORRECTNET_TARGET");
 }
 
 }  // namespace
+
+const core::Knobs& knobs() {
+  static const core::Knobs rows = {
+      {"", core::KnobType::kString, "", "", "CORRECTNET_TARGET"}};
+  return rows;
+}
 
 const Target* register_target(std::unique_ptr<Target> target) {
   if (!target) throw std::invalid_argument("register_target: null target");

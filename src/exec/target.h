@@ -40,6 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "core/config.h"
+
 namespace cn::exec {
 
 /// Read-only view of one programmed tile handed to Target::lower. The
@@ -164,6 +166,9 @@ void set_default_target(const std::string& name);
 /// Drops the set_default_target override, restoring the startup default
 /// (CORRECTNET_TARGET when set, else "simd").
 void reset_default_target();
+
+/// The CORRECTNET_TARGET row (docs/CONFIG.md "Environment knobs").
+const core::Knobs& knobs();
 
 /// ISA levels of the built-in simd family (0 = generic, 1 = avx2,
 /// 2 = avx512f). The "simd" target lowers at max_level(); a specific level is

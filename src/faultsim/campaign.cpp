@@ -10,8 +10,6 @@
 #include "obs/exposition.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
-#include "obs/snapshot_stream.h"
 #include "obs/trace.h"
 #include "runtime/chip_farm.h"
 #include "runtime/mc_engine.h"
@@ -155,10 +153,6 @@ Campaign::Campaign(CampaignOptions opts) : opts_(opts) {
     throw std::invalid_argument(
         "Campaign: remap axis enabled but no repair moves configured "
         "(spare budget 0 and pair_swap off)");
-  if (opts_.statusz_port > 65535)
-    throw std::invalid_argument("Campaign: statusz_port must be <= 65535");
-  if (opts_.slo_p99_ms < 0)
-    throw std::invalid_argument("Campaign: slo_p99_ms must be >= 0 (0 = off)");
   // Resolve the execution target against the registry now: a typo'd name
   // must fail before any training or scenario work, not at the first farm.
   if (!opts_.target.empty()) exec::get_target(opts_.target);
@@ -230,18 +224,14 @@ CampaignReport Campaign::run(const data::Dataset& test) {
 
   // Observability plumbing. All of it is timing/count-only — nothing below
   // touches rng streams or the numeric path, so the report JSON is
-  // byte-identical with metrics/tracing on or off (tier-1 asserted).
-  if (!opts_.trace_out.empty()) obs::Tracer::global().set_enabled(true);
+  // byte-identical with metrics/tracing on or off (tier-1 asserted). The
+  // sinks are obs::configure's (see campaign_from_config).
   obs::Counter& m_scenarios = obs::metrics().counter("campaign.scenarios");
   obs::Gauge& m_rate = obs::metrics().gauge("campaign.scenarios_per_s");
   // Live introspection: a /statusz scrape mid-run sees the grid size and a
   // completed-cell count (progress order-independent: cells only increment).
-  if (opts_.slo_p99_ms > 0) obs::set_default_slo_p99_ms(opts_.slo_p99_ms);
-  if (!opts_.metrics_stream.empty())
-    obs::MetricsSnapshotter::start_global(opts_.metrics_stream);
-  if (opts_.statusz_port >= 0)
-    obs::ExpositionServer::start_global(static_cast<int>(opts_.statusz_port))
-        .set_ready(true);
+  if (obs::ExpositionServer* srv = obs::ExpositionServer::global())
+    srv->set_ready(true);
   obs::Gauge& m_total = obs::metrics().gauge("campaign.cells_total");
   obs::Gauge& m_done = obs::metrics().gauge("campaign.cells_done");
   m_total.set(static_cast<double>(n));
@@ -320,77 +310,84 @@ CampaignReport Campaign::run(const data::Dataset& test) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (report.wall_s > 0)
     m_rate.set(static_cast<double>(n) / report.wall_s);
-  if (!opts_.metrics_out.empty()) obs::metrics().write_json(opts_.metrics_out);
-  if (!opts_.trace_out.empty())
-    obs::Tracer::global().write_json(opts_.trace_out);
   return report;
 }
 
-const std::vector<std::string>& campaign_config_keys() {
-  // The single source of truth for the campaign key set: validate_keys
-  // enforces it at parse time and tests/test_config.cpp diffs docs/CONFIG.md
-  // against it, so a key added here without documentation (or vice versa)
-  // fails tier-1.
-  static const std::vector<std::string> keys = {
-      "chips", "seed", "batch", "catastrophic", "tile", "target", "control",
-      "parallel_scenarios",
-      "program_sigma", "read_sigma", "adc_bits", "dac_bits", "levels",
-      "stuck.rates", "stuck.high_fraction", "drift.times", "drift.nu",
-      "drift.nu_sigma", "ir.alphas", "thermal.temps", "thermal.t0",
-      "remap", "remap.spare_rows", "remap.spare_cols", "remap.pair_swap",
-      "metrics_out", "trace_out", "log_level",
-      "statusz_port", "metrics_stream", "slo_p99_ms",
-  };
-  return keys;
+const core::Knobs& campaign_knobs() {
+  using core::KnobType;
+  static const core::Knobs rows = [] {
+    // {key, type, default, flag, env, retired}
+    core::Knobs r = {
+        {"chips", KnobType::kInt, "8", "--chips"},
+        {"seed", KnobType::kInt, "42"},
+        {"batch", KnobType::kInt, "128"},
+        {"catastrophic", KnobType::kNumber, "0.2"},
+        {"tile", KnobType::kInt, "128"},
+        {"target", KnobType::kString, "", "--target"},
+        {"control", KnobType::kBool, "1"},
+        {"parallel_scenarios", KnobType::kInt, "0", "--parallel"},
+        {"program_sigma", KnobType::kNumber, "0"},
+        {"read_sigma", KnobType::kNumber, "0"},
+        {"adc_bits", KnobType::kInt, "0"},
+        {"dac_bits", KnobType::kInt, "0"},
+        {"levels", KnobType::kInt, "0"},
+        {"stuck.rates", KnobType::kList, ""},
+        {"stuck.high_fraction", KnobType::kNumber, "0.5"},
+        {"drift.times", KnobType::kList, ""},
+        {"drift.nu", KnobType::kNumber, "0.05"},
+        {"drift.nu_sigma", KnobType::kNumber, "0.02"},
+        {"ir.alphas", KnobType::kList, ""},
+        {"thermal.temps", KnobType::kList, ""},
+        {"thermal.t0", KnobType::kNumber, "300"},
+        {"remap", KnobType::kBool, "0", "--remap"},
+        {"remap.spare_rows", KnobType::kInt, "2"},
+        {"remap.spare_cols", KnobType::kInt, "2"},
+        {"remap.pair_swap", KnobType::kBool, "1"},
+        // Fusion is bitwise-exact, so reports never depended on it; the
+        // process-wide variable still selects the unfused path.
+        {"fusion", KnobType::kString, "", "--fusion", "",
+         "was removed; set CORRECTNET_FUSION=on|off to select the fused or "
+         "unfused eval path"},
+    };
+    // Campaign files take every obs key (the env-only ones stay env-only).
+    for (const core::Knob& k : obs::knobs())
+      if (!k.key.empty()) r.push_back(k);
+    return r;
+  }();
+  return rows;
 }
 
-Campaign campaign_from_config(const core::KeyValueConfig& cfg) {
-  // Fusion is bitwise-exact, so reports do not depend on it; the retired key
-  // points at the process-wide knob that still selects the unfused path.
-  if (cfg.has("fusion"))
-    throw std::runtime_error(
-        "KeyValueConfig: key 'fusion' was removed; set CORRECTNET_FUSION=on|off "
-        "to select the fused or unfused eval path");
-  // A typo'd key must fail loudly, not silently drop a scenario axis.
-  cfg.validate_keys(campaign_config_keys());
+Campaign campaign_from_config(const core::KeyValueConfig& in) {
+  core::KeyValueConfig cfg = in;
+  cfg.check(campaign_knobs());
   CampaignOptions opts;
-  opts.chips = cfg.integer("chips", opts.chips);
-  opts.seed = static_cast<uint64_t>(cfg.integer("seed", static_cast<int64_t>(opts.seed)));
-  opts.batch_size = cfg.integer("batch", opts.batch_size);
-  opts.tile = cfg.integer("tile", opts.tile);
-  opts.target = cfg.str("target", opts.target);
-  opts.parallel_scenarios =
-      cfg.integer("parallel_scenarios", opts.parallel_scenarios);
-  opts.catastrophic_below = cfg.number("catastrophic", opts.catastrophic_below);
-  opts.dev.program_sigma = static_cast<float>(cfg.number("program_sigma", 0.0));
-  opts.dev.readout.read_sigma = static_cast<float>(cfg.number("read_sigma", 0.0));
-  opts.dev.readout.adc_bits = static_cast<int>(cfg.integer("adc_bits", 0));
-  opts.dev.readout.dac_bits = static_cast<int>(cfg.integer("dac_bits", 0));
-  opts.dev.conductance_levels = static_cast<int>(cfg.integer("levels", 0));
-  opts.remap.enabled = cfg.integer("remap", 0) != 0;
-  opts.remap.spare_rows = cfg.integer("remap.spare_rows", opts.remap.spare_rows);
-  opts.remap.spare_cols = cfg.integer("remap.spare_cols", opts.remap.spare_cols);
-  opts.remap.pair_swap = cfg.integer("remap.pair_swap", 1) != 0;
-  opts.metrics_out = cfg.str("metrics_out", opts.metrics_out);
-  opts.trace_out = cfg.str("trace_out", opts.trace_out);
-  opts.statusz_port = cfg.integer("statusz_port", opts.statusz_port);
-  opts.metrics_stream = cfg.str("metrics_stream", opts.metrics_stream);
-  opts.slo_p99_ms = cfg.number("slo_p99_ms", opts.slo_p99_ms);
-  // log_level steers the process-wide Logger (the campaign's progress lines
-  // go through it at debug); parse now so a typo fails at config time.
-  const std::string log_level = cfg.str("log_level", "");
-  if (!log_level.empty())
-    obs::Logger::global().set_level(obs::parse_log_level(log_level));
+  opts.chips = cfg.integer("chips");
+  opts.seed = static_cast<uint64_t>(cfg.integer("seed"));
+  opts.batch_size = cfg.integer("batch");
+  opts.tile = cfg.integer("tile");
+  opts.target = cfg.str("target");
+  opts.parallel_scenarios = cfg.integer("parallel_scenarios");
+  opts.catastrophic_below = cfg.number("catastrophic");
+  opts.dev.program_sigma = static_cast<float>(cfg.number("program_sigma"));
+  opts.dev.readout.read_sigma = static_cast<float>(cfg.number("read_sigma"));
+  opts.dev.readout.adc_bits = static_cast<int>(cfg.integer("adc_bits"));
+  opts.dev.readout.dac_bits = static_cast<int>(cfg.integer("dac_bits"));
+  opts.dev.conductance_levels = static_cast<int>(cfg.integer("levels"));
+  opts.remap.enabled = cfg.boolean("remap");
+  opts.remap.spare_rows = cfg.integer("remap.spare_rows");
+  opts.remap.spare_cols = cfg.integer("remap.spare_cols");
+  opts.remap.pair_swap = cfg.boolean("remap.pair_swap");
 
   Campaign c(opts);
-  if (cfg.integer("control", 1) != 0) c.add_fault(fault_free());
-  const double high_frac = cfg.number("stuck.high_fraction", 0.5);
+  obs::configure(cfg);
+  if (cfg.boolean("control")) c.add_fault(fault_free());
+  const double high_frac = cfg.number("stuck.high_fraction");
   for (double r : cfg.numbers("stuck.rates")) c.add_fault(stuck_at(r, high_frac));
-  const double nu = cfg.number("drift.nu", 0.05);
-  const double nu_sigma = cfg.number("drift.nu_sigma", 0.02);
+  const double nu = cfg.number("drift.nu");
+  const double nu_sigma = cfg.number("drift.nu_sigma");
   for (double t : cfg.numbers("drift.times")) c.add_fault(drift(t, nu, nu_sigma));
   for (double a : cfg.numbers("ir.alphas")) c.add_fault(ir_drop(a));
-  const double t0 = cfg.number("thermal.t0", 300.0);
+  const double t0 = cfg.number("thermal.t0");
   for (double t : cfg.numbers("thermal.temps")) c.add_fault(thermal(t, t0));
   return c;
 }

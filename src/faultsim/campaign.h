@@ -62,24 +62,6 @@ struct CampaignOptions {
   // params — under the same per-scenario chip seeds, so the pair sees
   // identical defect maps (a matched-pairs experiment, like compensation).
   remap::RemapParams remap;
-  // Observability sinks (both optional). When `trace_out` is set, run()
-  // enables the process-wide obs::Tracer and writes a Chrome trace_event
-  // JSON there; when `metrics_out` is set, run() writes a
-  // MetricsRegistry::snapshot_json() there. Instrumentation is timing-only:
-  // the CampaignReport (and its JSON) is byte-identical with either sink on
-  // or off — asserted in tier-1 (tests/test_obs.cpp).
-  std::string metrics_out;
-  std::string trace_out;
-  // Live introspection (all optional, all timing-only like the sinks above).
-  // statusz_port >= 0 starts the process-global obs::ExpositionServer before
-  // the grid runs (-1 = off, 0 = ephemeral port) and marks it ready;
-  // metrics_stream starts the process-global obs::MetricsSnapshotter
-  // appending 1 Hz interval-delta JSONL there; slo_p99_ms > 0 sets the
-  // process-default latency objective (obs::set_default_slo_p99_ms) that
-  // InferenceServers built later adopt.
-  int64_t statusz_port = -1;
-  std::string metrics_stream;
-  double slo_p99_ms = 0;
 };
 
 /// One grid cell's outcome.
@@ -178,29 +160,16 @@ class Campaign {
   std::vector<FaultSpec> faults_;
 };
 
-/// The campaign config-key set campaign_from_config declares to
-/// core::KeyValueConfig::validate_keys. Exposed so docs/CONFIG.md can be
-/// test-enforced against the code (tests/test_config.cpp diffs the
-/// documented table against this list).
-const std::vector<std::string>& campaign_config_keys();
+/// The campaign rows (docs/CONFIG.md "Campaign config files", test-checked
+/// cell by cell): the grid and device keys, the retired `fusion` key/flag,
+/// and the observability keys of obs::knobs().
+const core::Knobs& campaign_knobs();
 
-/// Builds a campaign grid from config-file keys (core::KeyValueConfig);
-/// docs/CONFIG.md is the per-key reference (type, default, validation),
-/// kept honest by a tier-1 test. Summary:
-///   chips, seed, batch, catastrophic, tile    — CampaignOptions scalars
-///   target = simd|simd-generic|int8|...       — execution target (registry-validated)
-///   parallel_scenarios = 0|1|N — scenario-level concurrency (0 = auto)
-///   program_sigma, read_sigma, adc_bits, dac_bits, levels — baseline device
-///   control = 0|1            — include the fault-free control scenario (default 1)
-///   stuck.rates = 0.001,0.01 — stuck-at severity grid (stuck.high_fraction)
-///   drift.times = 10,1000    — drift t/t0 grid (drift.nu, drift.nu_sigma)
-///   ir.alphas = 0.05,0.1     — IR-drop attenuation grid
-///   thermal.temps = 350,400  — temperature grid (thermal.t0)
-///   remap = 0|1              — fault-aware remapping protection axis
-///     (remap.spare_rows / remap.spare_cols — per-tile spare budget,
-///      remap.pair_swap = 0|1 — differential-pair partner re-programming)
-/// Unknown keys throw (validate_keys): a typo must not silently drop a
-/// scenario axis. Models are registered by the caller, not the config.
+/// Builds a campaign grid from config-file keys, checked against
+/// campaign_knobs() before anything runs: an unknown key throws (a typo must
+/// not silently drop a scenario axis), as does a value outside its row type.
+/// The observability keys go to obs::configure. Models are registered by the
+/// caller, not the config.
 Campaign campaign_from_config(const core::KeyValueConfig& cfg);
 
 }  // namespace cn::faultsim

@@ -1,7 +1,6 @@
 #include "nn/fusion.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -31,9 +30,8 @@ FusionKnob& knob() {
 }
 
 bool parse_fusion_env() {
-  const char* v = std::getenv("CORRECTNET_FUSION");
-  if (!v || !*v) return true;
-  const std::string s(v);
+  const std::string s =
+      core::KeyValueConfig::from_env(fusion_knobs()).str("CORRECTNET_FUSION");
   if (s == "on" || s == "1" || s == "true") return true;
   if (s == "off" || s == "0" || s == "false") return false;
   throw std::runtime_error("CORRECTNET_FUSION: invalid value '" + s +
@@ -41,6 +39,12 @@ bool parse_fusion_env() {
 }
 
 }  // namespace
+
+const core::Knobs& fusion_knobs() {
+  static const core::Knobs rows = {
+      {"", core::KnobType::kString, "on", "", "CORRECTNET_FUSION"}};
+  return rows;
+}
 
 bool fusion_enabled() {
   FusionKnob& k = knob();

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 
+#include "core/config.h"
 #include "nn/graph.h"
 
 namespace cn::nn {
@@ -56,6 +57,8 @@ bool fusion_enabled();
 void set_fusion_enabled(bool on);
 /// Drops the override, falling back to env/default.
 void reset_fusion_enabled();
+/// The CORRECTNET_FUSION row (docs/CONFIG.md "Environment knobs").
+const core::Knobs& fusion_knobs();
 
 struct FusionStats {
   int64_t pools_fused = 0;       // pool-fuse (pool ahead of a conv's im2col)

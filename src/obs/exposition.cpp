@@ -325,9 +325,9 @@ ExpositionServer& ExpositionServer::start_global(int port) {
   std::lock_guard<std::mutex> lk(g_server_mu);
   if (g_server) {
     if (g_server->port() != port && port != 0)
-      log_info("[obs] exposition server already on port " +
-               std::to_string(g_server->port()) + "; ignoring port " +
-               std::to_string(port));
+      throw std::invalid_argument("statusz_port: the exposition server already "
+                                  "listens on port " + std::to_string(g_server->port()) +
+                                  "; cannot move it to " + std::to_string(port));
     return *g_server;
   }
   ExpositionServerOptions o;

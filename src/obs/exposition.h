@@ -23,9 +23,8 @@
 // so a CampaignReport is byte-identical with a scraper hammering /metrics
 // mid-run (tier-1, tests/test_exposition.cpp).
 //
-// Exposure: `--statusz-port N` (CLI, serve_demo), the campaign
-// `statusz_port` config key, CORRECTNET_STATUSZ_PORT (init_from_env).
-// Port 0 binds an ephemeral port; port() reports the real one.
+// Exposure: the `statusz_port` knob (obs::knobs(), applied by
+// obs::configure). Port 0 binds an ephemeral port; port() reports the real one.
 #pragma once
 
 #include <atomic>
@@ -69,9 +68,10 @@ class ExpositionServer {
   /// without a live socket.
   std::string handle(const std::string& path, int* status) const;
 
-  /// Process-global server (nullptr until started). start_global is
-  /// first-wins: an already-running server ignores later ports with a
-  /// log_info notice. Leaked like the registry singletons.
+  /// Process-global server (nullptr until started; the `statusz_port`
+  /// knob). A running server does not move: start_global with another
+  /// non-zero port throws std::invalid_argument. Leaked like the registry
+  /// singletons.
   static ExpositionServer* global();
   static ExpositionServer& start_global(int port);
 

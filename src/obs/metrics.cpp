@@ -339,10 +339,10 @@ std::string labeled(const std::string& name, const std::string& key,
 
 namespace {
 
-// Exit-time sink paths, leaked strings so the atexit hook and the signal
-// handler can read them during teardown.
-std::string* g_metrics_path = nullptr;
-std::string* g_trace_path = nullptr;
+// Exit-time sink paths, leaked so the atexit hook and the signal handler can
+// read them during teardown. Empty = sink off.
+std::string& g_metrics_path = *new std::string;
+std::string& g_trace_path = *new std::string;
 
 void cn_obs_flush_and_reraise(int sig) {
   // Not strictly async-signal-safe (it formats and writes files), but this
@@ -358,71 +358,87 @@ void cn_obs_flush_and_reraise(int sig) {
 
 void flush_observability_sinks() noexcept {
   try {
-    if (g_metrics_path) MetricsRegistry::global().write_json(*g_metrics_path);
+    if (!g_metrics_path.empty())
+      MetricsRegistry::global().write_json(g_metrics_path);
   } catch (...) {
   }
   try {
-    if (g_trace_path) Tracer::global().write_json(*g_trace_path);
+    if (!g_trace_path.empty()) Tracer::global().write_json(g_trace_path);
   } catch (...) {
   }
   MetricsSnapshotter::flush_global();
 }
 
-void init_from_env() {
-  static bool done = false;
-  if (done) return;
-  done = true;
-  bool want_atexit = false;
-  if (const char* p = std::getenv("CORRECTNET_METRICS"); p && *p) {
-    g_metrics_path = new std::string(p);
-    want_atexit = true;
+const core::Knobs& knobs() {
+  using core::KnobType;
+  // {key, type, default, flag, env}
+  static const core::Knobs rows = {
+      {"metrics_out", KnobType::kString, "", "--metrics-out", "CORRECTNET_METRICS"},
+      {"trace_out", KnobType::kString, "", "--trace-out", "CORRECTNET_TRACE"},
+      {"log_level", KnobType::kString, "", "--log-level", "CORRECTNET_LOG"},
+      {"statusz_port", KnobType::kInt, "-1", "--statusz-port", "CORRECTNET_STATUSZ_PORT"},
+      {"metrics_stream", KnobType::kString, "", "--metrics-stream", "CORRECTNET_METRICS_STREAM"},
+      {"slo_p99_ms", KnobType::kNumber, "0", "--slo-p99-ms", "CORRECTNET_SLO_P99_MS"},
+      {"", KnobType::kBool, "0", "", "CORRECTNET_SIGNAL_FLUSH"},
+  };
+  return rows;
+}
+
+void configure(const core::KeyValueConfig& in) {
+  // `in` over the environment over the row defaults.
+  core::KeyValueConfig cfg = core::KeyValueConfig::from_env(knobs());
+  cfg.merge(in, knobs());
+  cfg.check(knobs());
+  // A range error names every surface of the knob: the value may have come
+  // from any of them.
+  auto bad = [](const std::string& name, const std::string& why) {
+    const core::Knob& k = core::knob(knobs(), name);
+    return std::invalid_argument(k.key + " (" + k.flag + ", " + k.env + "): " + why);
+  };
+  // Validate everything before applying anything.
+  const std::string level = cfg.str("log_level");
+  LogLevel parsed_level = LogLevel::kInfo;
+  try {
+    if (!level.empty()) parsed_level = parse_log_level(level);
+  } catch (const std::invalid_argument& e) {
+    throw bad("log_level", e.what());
   }
-  if (const char* p = std::getenv("CORRECTNET_TRACE"); p && *p) {
-    Tracer::global().set_enabled(true);
-    g_trace_path = new std::string(p);
-    want_atexit = true;
+  const int64_t port = cfg.integer("statusz_port");
+  if (port > 65535)
+    throw bad("statusz_port", "invalid port " + std::to_string(port) +
+                                  " (want -1..65535; -1 = off)");
+  const double slo_ms = cfg.number("slo_p99_ms");
+  if (!(slo_ms >= 0.0)) throw bad("slo_p99_ms", "must be >= 0 (0 = none)");
+
+  // What can still fail (binding the port, opening the stream, moving
+  // either) comes first; the level first of all, so `quiet` covers it.
+  if (!level.empty()) Logger::global().set_level(parsed_level);
+  if (port >= 0) {
+    // The environment is read before any work, so a server it alone asked
+    // for is ready at once; others wait for their frontend.
+    ExpositionServer& srv = ExpositionServer::start_global(static_cast<int>(port));
+    if (!in.has("statusz_port")) srv.set_ready(true);
   }
-  if (const char* p = std::getenv("CORRECTNET_LOG"); p && *p)
-    Logger::global().set_level(parse_log_level(p));
-  if (const char* p = std::getenv("CORRECTNET_STATUSZ_PORT"); p && *p) {
-    char* end = nullptr;
-    const long port = std::strtol(p, &end, 10);
-    if (*end != '\0' || port < 0 || port > 65535)
-      throw std::invalid_argument("CORRECTNET_STATUSZ_PORT: invalid port '" +
-                                  std::string(p) + "' (want 0-65535)");
-    try {
-      ExpositionServer::start_global(static_cast<int>(port)).set_ready(true);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "CORRECTNET_STATUSZ_PORT: %s\n", e.what());
-    }
+  if (!cfg.str("metrics_stream").empty())
+    MetricsSnapshotter::start_global(cfg.str("metrics_stream"));
+  if (cfg.has("metrics_out")) g_metrics_path = cfg.str("metrics_out");
+  if (cfg.has("trace_out")) {
+    g_trace_path = cfg.str("trace_out");
+    if (!g_trace_path.empty()) Tracer::global().set_enabled(true);
   }
-  if (const char* p = std::getenv("CORRECTNET_METRICS_STREAM"); p && *p) {
-    try {
-      MetricsSnapshotter::start_global(p);
-      want_atexit = true;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "CORRECTNET_METRICS_STREAM: %s\n", e.what());
-    }
-  }
-  if (const char* p = std::getenv("CORRECTNET_SLO_P99_MS"); p && *p) {
-    char* end = nullptr;
-    const double ms = std::strtod(p, &end);
-    if (*end != '\0' || !(ms >= 0.0))
-      throw std::invalid_argument("CORRECTNET_SLO_P99_MS: invalid value '" +
-                                  std::string(p) + "' (want a number >= 0)");
-    set_default_slo_p99_ms(ms);
-  }
-  if (want_atexit) {
-    std::atexit(+[] {
-      flush_observability_sinks();
-      MetricsSnapshotter::stop_global();
-    });
-  }
-  if (const char* p = std::getenv("CORRECTNET_SIGNAL_FLUSH");
-      p && std::string(p) == "1") {
+  if (cfg.has("slo_p99_ms")) set_default_slo_p99_ms(slo_ms);
+  if (cfg.boolean("CORRECTNET_SIGNAL_FLUSH")) {
     std::signal(SIGINT, &cn_obs_flush_and_reraise);
     std::signal(SIGTERM, &cn_obs_flush_and_reraise);
   }
+  // The sinks are flushed at exit too (a no-op when none is set).
+  static const int at_exit = std::atexit(+[] {
+    flush_observability_sinks();
+    MetricsSnapshotter::stop_global();
+  });
+  (void)at_exit;
 }
+
+void init_from_env() { configure(core::KeyValueConfig{}); }
 
 }  // namespace cn::obs

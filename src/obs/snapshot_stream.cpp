@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/log.h"
-
 namespace cn::obs {
 
 namespace {
@@ -154,8 +152,8 @@ void MetricsSnapshotter::start_global(const std::string& path,
   std::lock_guard<std::mutex> lk(g_global_mu);
   if (g_global) {
     if (g_global->opts_.path != path)
-      log_info("[obs] metrics stream already running (" +
-               g_global->opts_.path + "); ignoring " + path);
+      throw std::invalid_argument("metrics_stream: already streaming to " +
+                                  g_global->opts_.path + "; cannot move it to " + path);
     return;
   }
   MetricsSnapshotterOptions o;

@@ -8,8 +8,8 @@
 // never touches rng streams or numeric paths — results are byte-identical
 // with tracing on or off.
 //
-// Enablement: CLI `--trace-out FILE`, the campaign `trace_out` config key,
-// or CORRECTNET_TRACE=FILE (obs::init_from_env). Timestamps are steady-clock
+// Enablement: the `trace_out` knob (obs::knobs(), applied by
+// obs::configure). Timestamps are steady-clock
 // microseconds since the tracer singleton was created; thread ids are
 // compacted to small integers at write time.
 #pragma once

@@ -30,23 +30,33 @@ std::vector<std::string> split_ids(const std::string& s) {
 
 }  // namespace
 
-const std::vector<std::string>& serving_config_keys() {
-  // Single source of truth for the serving key set: validate_keys enforces
-  // it at parse time and tests/test_config.cpp diffs docs/CONFIG.md against
-  // it, so a key added here without documentation (or vice versa) fails
-  // tier-1.
-  static const std::vector<std::string> keys = {
-      "models", "chips", "live_slots", "workers", "max_batch", "max_wait_us",
-      "queue_limit", "queue_budget_us", "admission.burn_max", "slo_p99_ms",
-      "drill.kind", "drill.severity", "drill.workers", "drill.action",
+const core::Knobs& serving_knobs() {
+  using core::KnobType;
+  // {key, type, default, flag}
+  static const core::Knobs rows = {
+      {"models", KnobType::kString, "default", "--models"},
+      {"chips", KnobType::kInt, "2"},
+      {"live_slots", KnobType::kInt, "0"},
+      {"workers", KnobType::kInt, "2"},
+      {"max_batch", KnobType::kInt, "16"},
+      {"max_wait_us", KnobType::kInt, "1500"},
+      {"queue_limit", KnobType::kInt, "0", "--queue-limit"},
+      {"queue_budget_us", KnobType::kInt, "0", "--queue-budget-us"},
+      {"admission.burn_max", KnobType::kNumber, "0"},
+      {"slo_p99_ms", KnobType::kNumber, "0"},
+      {"drill.kind", KnobType::kString, ""},
+      {"drill.severity", KnobType::kNumber, "0"},
+      {"drill.workers", KnobType::kIntList, "0"},
+      {"drill.action", KnobType::kString, "remap", "--drill-action"},
   };
-  return keys;
+  return rows;
 }
 
-ServingConfig serving_from_config(const core::KeyValueConfig& cfg) {
-  cfg.validate_keys(serving_config_keys());
+ServingConfig serving_from_config(const core::KeyValueConfig& in) {
+  core::KeyValueConfig cfg = in;
+  cfg.check(serving_knobs());
   ServingConfig sc;
-  if (cfg.has("models")) sc.models = split_ids(cfg.str("models"));
+  sc.models = split_ids(cfg.str("models"));
   {
     std::set<std::string> seen;
     for (const std::string& id : sc.models)
@@ -54,26 +64,20 @@ ServingConfig serving_from_config(const core::KeyValueConfig& cfg) {
         throw std::runtime_error("serving config: duplicate model id \"" + id +
                                  "\"");
   }
-  sc.chips = cfg.integer("chips", sc.chips);
-  sc.live_slots = cfg.integer("live_slots", sc.live_slots);
-  sc.workers = cfg.integer("workers", sc.workers);
-  sc.max_batch = cfg.integer("max_batch", sc.max_batch);
-  sc.max_wait_us = cfg.integer("max_wait_us", sc.max_wait_us);
-  sc.queue_limit = cfg.integer("queue_limit", sc.queue_limit);
-  sc.queue_budget_us = cfg.integer("queue_budget_us", sc.queue_budget_us);
-  sc.admission_burn_max = cfg.number("admission.burn_max", sc.admission_burn_max);
-  sc.slo_p99_ms = cfg.number("slo_p99_ms", sc.slo_p99_ms);
-  sc.drill_kind = cfg.str("drill.kind", sc.drill_kind);
-  sc.drill_severity = cfg.number("drill.severity", sc.drill_severity);
-  if (cfg.has("drill.workers")) {
-    sc.drill_workers.clear();
-    for (double v : cfg.numbers("drill.workers"))
-      sc.drill_workers.push_back(static_cast<int64_t>(v));
-  }
-  sc.drill_action = cfg.str("drill.action", sc.drill_action);
+  sc.chips = cfg.integer("chips");
+  sc.live_slots = cfg.integer("live_slots");
+  sc.workers = cfg.integer("workers");
+  sc.max_batch = cfg.integer("max_batch");
+  sc.max_wait_us = cfg.integer("max_wait_us");
+  sc.queue_limit = cfg.integer("queue_limit");
+  sc.queue_budget_us = cfg.integer("queue_budget_us");
+  sc.admission_burn_max = cfg.number("admission.burn_max");
+  sc.slo_p99_ms = cfg.number("slo_p99_ms");
+  sc.drill_kind = cfg.str("drill.kind");
+  sc.drill_severity = cfg.number("drill.severity");
+  sc.drill_workers = cfg.integers("drill.workers");
+  sc.drill_action = cfg.str("drill.action");
 
-  if (sc.models.empty())
-    throw std::runtime_error("serving config: no models");
   if (sc.chips < 1 || sc.workers < 1 || sc.max_batch < 1)
     throw std::runtime_error(
         "serving config: chips, workers and max_batch must be >= 1");

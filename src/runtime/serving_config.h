@@ -4,10 +4,9 @@
 // rehearse against live traffic).
 //
 // Follows the campaign-config contract (src/faultsim/campaign.cpp):
-// serving_config_keys() is the single source of truth — validate_keys
-// enforces it at parse time and tests/test_config.cpp diffs the
-// docs/CONFIG.md serving table against it, so an undocumented key (or a
-// documented ghost key) fails tier-1. Consumed by `serve_demo --config`.
+// serving_knobs() declares each key once, KeyValueConfig::check enforces the
+// rows at parse time, and tests/test_config.cpp checks the docs/CONFIG.md
+// serving table against them cell by cell. Consumed by `serve_demo`.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +36,8 @@ struct ServingConfig {
   std::string drill_action = "remap";        // degrade | evict | remap
 };
 
-/// The declared serving key set (docs/CONFIG.md serving table, test-enforced).
-const std::vector<std::string>& serving_config_keys();
+/// The serving rows (docs/CONFIG.md serving table, test-checked).
+const core::Knobs& serving_knobs();
 
 /// Builds a ServingConfig from a parsed key=value file. Unknown keys, empty
 /// or duplicate model ids, non-positive scheduler knobs, negative admission

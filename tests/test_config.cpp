@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "../examples/frontend_knobs.h"
+#include "exec/target.h"
 #include "faultsim/campaign.h"
+#include "nn/fusion.h"
+#include "obs/metrics.h"
 #include "runtime/serving_config.h"
 
 namespace cn::core {
@@ -65,7 +69,7 @@ TEST(RuntimeConfig, EpochScalingNeverBelowOne) {
 }
 
 TEST(KeyValueConfig, ParsesCommentsWhitespaceAndEmptyValues) {
-  const KeyValueConfig cfg = KeyValueConfig::from_string(
+  KeyValueConfig cfg = KeyValueConfig::from_string(
       "# a comment line\n"
       "  chips = 8   # trailing comment\n"
       "name= lenet \n"
@@ -74,28 +78,32 @@ TEST(KeyValueConfig, ParsesCommentsWhitespaceAndEmptyValues) {
       "empty =\n"
       "\n"
       "   \t\n");
+  const Knobs rows = {{"chips", KnobType::kInt, "-1"}, {"name"}, {"rate"}, {"list"},
+                      {"empty", KnobType::kInt, "4"}, {"missing", KnobType::kList, "7"}};
+  cfg.check(rows);
   EXPECT_TRUE(cfg.has("chips"));
-  EXPECT_EQ(cfg.integer("chips", -1), 8);
-  EXPECT_EQ(cfg.str("name", "x"), "lenet");
-  EXPECT_DOUBLE_EQ(cfg.number("rate", 0.0), 0.5);
+  EXPECT_EQ(cfg.integer("chips"), 8);
+  EXPECT_EQ(cfg.str("name"), "lenet");
+  EXPECT_DOUBLE_EQ(cfg.number("rate"), 0.5);
   const std::vector<double> list = cfg.numbers("list");
   ASSERT_EQ(list.size(), 3u);
   EXPECT_DOUBLE_EQ(list[1], 2.5);
   EXPECT_TRUE(cfg.has("empty"));
-  EXPECT_EQ(cfg.str("empty", "d"), "");
-  EXPECT_EQ(cfg.integer("empty", 4), 4);  // empty value -> default
+  EXPECT_EQ(cfg.str("empty"), "");
+  EXPECT_EQ(cfg.integer("empty"), 4);  // empty value -> row default
   EXPECT_FALSE(cfg.has("missing"));
-  EXPECT_TRUE(cfg.numbers("missing").empty());
-  EXPECT_EQ(cfg.numbers("missing", {7.0}).size(), 1u);
+  EXPECT_EQ(cfg.numbers("missing").size(), 1u);
 }
 
 TEST(KeyValueConfig, SetOverridesOrAppends) {
   // The override layer the CLI flags use now that duplicate keys throw.
   KeyValueConfig cfg = KeyValueConfig::from_string("chips = 8\n");
+  const Knobs rows = {{"chips", KnobType::kInt}, {"remap", KnobType::kInt}};
+  cfg.check(rows);
   cfg.set("chips", "12");
-  EXPECT_EQ(cfg.integer("chips", -1), 12);
+  EXPECT_EQ(cfg.integer("chips"), 12);
   cfg.set("remap", "1");
-  EXPECT_EQ(cfg.integer("remap", 0), 1);
+  EXPECT_EQ(cfg.integer("remap"), 1);
 }
 
 TEST(KeyValueConfig, DuplicateKeyThrows) {
@@ -122,64 +130,130 @@ TEST(KeyValueConfig, EmptyConfigThrows) {
 }
 
 TEST(KeyValueConfig, UnknownKeysFailValidation) {
-  const KeyValueConfig cfg =
+  KeyValueConfig cfg =
       KeyValueConfig::from_string("chips = 8\nstuck.ratez = 0.1\n");
-  EXPECT_THROW(cfg.validate_keys({"chips", "stuck.rates"}), std::runtime_error);
-  EXPECT_NO_THROW(cfg.validate_keys({"chips", "stuck.ratez"}));
+  const Knobs rows = {{"chips", KnobType::kInt, "8"}, {"stuck.rates", KnobType::kList}};
+  EXPECT_THROW(cfg.check(rows), std::runtime_error);
+  const Knobs typo = {{"chips", KnobType::kInt, "8"}, {"stuck.ratez", KnobType::kList}};
+  EXPECT_NO_THROW(cfg.check(typo));
+  // Bound rows supply the defaults; an undeclared name is a code bug.
+  EXPECT_EQ(cfg.integer("chips"), 8);
+  EXPECT_THROW(cfg.integer("chps"), std::logic_error);
+}
+
+TEST(KeyValueConfig, FlagsParseThroughTheRows) {
+  const Knobs rows = {
+      {"chips", KnobType::kInt, "8", "--chips"},
+      {"remap", KnobType::kBool, "0", "--remap"},
+      {"old", KnobType::kString, "", "--old", "", "was removed; use --chips"},
+  };
+  auto parse = [&](std::vector<const char*> argv) {
+    return KeyValueConfig::from_flags(rows, static_cast<int>(argv.size()),
+                                      argv.data(), 0);
+  };
+  EXPECT_EQ(parse({}).integer("chips"), 8);
+  const KeyValueConfig some = parse({"--remap", "--chips", "3"});
+  EXPECT_EQ(some.integer("chips"), 3);
+  EXPECT_TRUE(some.boolean("remap"));  // a 0|1 flag takes no value
+  // Every failure names the flag.
+  for (const std::vector<const char*>& bad : std::vector<std::vector<const char*>>{
+           {"--chips", "abc"}, {"--chip", "3"}, {"--chips"}, {"--old", "1"}}) {
+    try {
+      parse(bad);
+      ADD_FAILURE() << bad[0] << " must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad[0]), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_NE(flag_usage(rows).find("--chips int"), std::string::npos);
+  EXPECT_EQ(flag_usage(rows).find("--old"), std::string::npos);
 }
 
 TEST(KeyValueConfig, UnparsableListCellThrows) {
   // A typo'd severity must not silently shrink a campaign grid.
-  const KeyValueConfig cfg =
+  KeyValueConfig cfg =
       KeyValueConfig::from_string("rates = 0.1, o.2\ntrailing = 0.5x\n");
+  const Knobs rows = {{"rates"}, {"trailing"}};  // strings: the getter parses
+  cfg.check(rows);
   EXPECT_THROW(cfg.numbers("rates"), std::runtime_error);
   EXPECT_THROW(cfg.numbers("trailing"), std::runtime_error);
 }
 
 TEST(KeyValueConfig, PartialScalarParsesThrow) {
   // 'chips = 1O' must not silently run with 1 chip instead of 10.
-  const KeyValueConfig cfg =
+  KeyValueConfig cfg =
       KeyValueConfig::from_string("chips = 1O\nrate = 0.5x\n");
-  EXPECT_THROW(cfg.integer("chips", 8), std::runtime_error);
-  EXPECT_THROW(cfg.number("rate", 0.0), std::runtime_error);
+  const Knobs rows = {{"chips"}, {"rate"}};  // strings: the getter parses
+  cfg.check(rows);
+  EXPECT_THROW(cfg.integer("chips"), std::runtime_error);
+  EXPECT_THROW(cfg.number("rate"), std::runtime_error);
+  // A 0|1 row reads exactly 0 or 1: 'remap = 2' must not mean "on".
+  for (const char* bad : {"remap = 2", "control = -1", "remap.pair_swap = 7"})
+    EXPECT_THROW(faultsim::campaign_from_config(KeyValueConfig::from_string(bad)),
+                 std::runtime_error) << bad;
+  // Same rule for the env: CORRECTNET_SIGNAL_FLUSH=true was silently ignored.
+  ::setenv("CORRECTNET_SIGNAL_FLUSH", "true", 1);
+  EXPECT_THROW(KeyValueConfig::from_env(obs::knobs()), std::runtime_error);
+  ::unsetenv("CORRECTNET_SIGNAL_FLUSH");
 }
 
-TEST(ConfigDocs, CampaignTableMatchesDeclaredKeySet) {
-  // docs/CONFIG.md documents every campaign config key in a table between
-  // `campaign-keys:begin/end` markers; faultsim::campaign_config_keys() is
-  // the set campaign_from_config hands to validate_keys. This test diffs the
-  // two, so a key added in code without documentation — or documented
-  // without being declared — fails tier-1.
+// A row as docs/CONFIG.md writes it: | Key | Type | Default | Flag | Env |
+// (the Meaning cell, the help text's one home, follows).
+std::string cells(const Knob& k) {
+  auto code = [](const std::string& v) { return v.empty() ? "—" : "`" + v + "`"; };
+  std::string type = type_name(k.type);
+  if (type == "0|1") type = "0\\|1";
+  return "| " + code(k.key) + " | " + type + " | " + code(k.def) + " | " +
+         code(k.flag) + " | " + code(k.env) + " |";
+}
+
+// Checks the docs/CONFIG.md table between `<!-- marker:begin/end -->`
+// against code rows cell by cell. Retired rows are not documented, nor are
+// rows identical to one of `elsewhere` (they have their own table).
+void expect_table_matches(const std::string& marker, const Knobs& knobs,
+                          const Knobs& elsewhere = {}) {
+  std::set<std::string> documented, declared, shared;
+  for (const Knob& k : elsewhere) shared.insert(cells(k));
+  for (const Knob& k : knobs)
+    if (k.retired.empty() && !shared.count(cells(k))) declared.insert(cells(k));
   std::ifstream in(std::string(CN_SOURCE_DIR) + "/docs/CONFIG.md");
-  ASSERT_TRUE(in.is_open()) << "docs/CONFIG.md missing under " << CN_SOURCE_DIR;
-
-  std::set<std::string> documented;
-  std::string line;
   bool in_table = false;
-  while (std::getline(in, line)) {
-    if (line.find("campaign-keys:begin") != std::string::npos) in_table = true;
-    if (line.find("campaign-keys:end") != std::string::npos) in_table = false;
-    // A documented key is the first backticked token of a table row.
-    if (!in_table || line.rfind("| `", 0) != 0) continue;
-    const size_t open = line.find('`');
-    const size_t close = line.find('`', open + 1);
-    ASSERT_NE(close, std::string::npos) << "unterminated key cell: " << line;
-    documented.insert(line.substr(open + 1, close - open - 1));
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(marker + ":") != std::string::npos)
+      in_table = line.find(":begin") != std::string::npos;
+    if (!in_table || line.rfind("| ", 0) != 0 || line.rfind("| Key ", 0) == 0)
+      continue;
+    size_t end = 0;  // just past the Env cell's closing '|'
+    for (int bars = 0; bars < 6 && end < line.size(); ++end)
+      bars += line[end] == '|' && (end == 0 || line[end - 1] != '\\');
+    documented.insert(line.substr(0, end));
   }
-  ASSERT_FALSE(documented.empty())
-      << "campaign-keys markers or table rows missing from docs/CONFIG.md";
+  ASSERT_FALSE(documented.empty()) << marker << " table missing from docs/CONFIG.md";
+  for (const std::string& row : declared)
+    EXPECT_TRUE(documented.count(row))
+        << marker << ": declared row " << row << " is missing or differs in docs/CONFIG.md";
+  for (const std::string& row : documented)
+    EXPECT_TRUE(declared.count(row))
+        << marker << ": documented row " << row << " matches no declared row";
+}
 
-  const auto& declared_list = faultsim::campaign_config_keys();
-  const std::set<std::string> declared(declared_list.begin(),
-                                       declared_list.end());
-  for (const std::string& k : declared)
-    EXPECT_TRUE(documented.count(k))
-        << "key `" << k << "` is declared in campaign_config_keys() but "
-        << "undocumented in docs/CONFIG.md";
-  for (const std::string& k : documented)
-    EXPECT_TRUE(declared.count(k))
-        << "key `" << k << "` is documented in docs/CONFIG.md but not "
-        << "declared in campaign_config_keys()";
+TEST(ConfigDocs, MarkedTablesMatchTheRowsCellByCell) {
+  // Campaign files also take the obs keys; those have their own table.
+  expect_table_matches("campaign-keys", faultsim::campaign_knobs(), obs::knobs());
+  expect_table_matches("serving-keys", runtime::serving_knobs());
+  expect_table_matches("obs-knobs", obs::knobs());
+  Knobs env = RuntimeConfig::knobs();
+  append(env, exec::knobs(), {"CORRECTNET_TARGET"});
+  append(env, nn::fusion_knobs(), {"CORRECTNET_FUSION"});
+  expect_table_matches("env-knobs", env);
+  // The frontends' own flags; the library rows they take are above.
+  Knobs library = faultsim::campaign_knobs();
+  append(library, runtime::serving_knobs(),
+         {"models", "queue_limit", "queue_budget_us", "drill.action"});
+  expect_table_matches("cli-flags", examples::cli_knobs(), library);
+  expect_table_matches("faults-flags", examples::faults_knobs(), library);
+  expect_table_matches("demo-flags", examples::demo_knobs(), library);
+  expect_table_matches("sweep-flags", examples::sweep_knobs(), library);
 }
 
 TEST(CampaignConfig, RetiredNamesFailLoudly) {
@@ -203,41 +277,6 @@ TEST(CampaignConfig, RetiredNamesFailLoudly) {
 TEST(KeyValueConfig, MissingFileThrows) {
   EXPECT_THROW(KeyValueConfig::from_file("/nonexistent/campaign.cfg"),
                std::runtime_error);
-}
-
-TEST(ConfigDocs, ServingTableMatchesDeclaredKeySet) {
-  // Same contract as the campaign table, for the serving-policy key set:
-  // docs/CONFIG.md's `serving-keys:begin/end` table must stay in lockstep
-  // with runtime::serving_config_keys().
-  std::ifstream in(std::string(CN_SOURCE_DIR) + "/docs/CONFIG.md");
-  ASSERT_TRUE(in.is_open()) << "docs/CONFIG.md missing under " << CN_SOURCE_DIR;
-
-  std::set<std::string> documented;
-  std::string line;
-  bool in_table = false;
-  while (std::getline(in, line)) {
-    if (line.find("serving-keys:begin") != std::string::npos) in_table = true;
-    if (line.find("serving-keys:end") != std::string::npos) in_table = false;
-    if (!in_table || line.rfind("| `", 0) != 0) continue;
-    const size_t open = line.find('`');
-    const size_t close = line.find('`', open + 1);
-    ASSERT_NE(close, std::string::npos) << "unterminated key cell: " << line;
-    documented.insert(line.substr(open + 1, close - open - 1));
-  }
-  ASSERT_FALSE(documented.empty())
-      << "serving-keys markers or table rows missing from docs/CONFIG.md";
-
-  const auto& declared_list = runtime::serving_config_keys();
-  const std::set<std::string> declared(declared_list.begin(),
-                                       declared_list.end());
-  for (const std::string& k : declared)
-    EXPECT_TRUE(documented.count(k))
-        << "key `" << k << "` is declared in serving_config_keys() but "
-        << "undocumented in docs/CONFIG.md";
-  for (const std::string& k : documented)
-    EXPECT_TRUE(declared.count(k))
-        << "key `" << k << "` is documented in docs/CONFIG.md but not "
-        << "declared in serving_config_keys()";
 }
 
 TEST(ServingConfig, ParsesOverridesAndDefaults) {
@@ -279,6 +318,9 @@ TEST(ServingConfig, RejectsMalformedDeployments) {
                std::runtime_error)
       << "drill worker index outside [0, workers)";
   EXPECT_THROW(parse("models = a\nbogus_key = 1\n"), std::runtime_error);
+  // An int list reads whole integers: 1.5 must not drill worker 1.
+  EXPECT_THROW(parse("models = a\nworkers = 2\ndrill.workers = 1.5\n"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -602,6 +602,8 @@ TEST(Exposition, CampaignConfigAcceptsAndValidatesIntrospectionKeys) {
       "stuck.rates = 0.01\nstatusz_port = -1\nmetrics_stream = \n"
       "slo_p99_ms = 2.5\n");
   faultsim::campaign_from_config(cfg);  // parses; port -1 never binds
+  EXPECT_EQ(obs::default_slo_p99_ms(), 2.5);  // applied at config time
+  obs::set_default_slo_p99_ms(0);  // later servers keep no objective
   core::KeyValueConfig bad_port = core::KeyValueConfig::from_string(
       "stuck.rates = 0.01\nstatusz_port = 70000\n");
   EXPECT_THROW(faultsim::campaign_from_config(bad_port), std::invalid_argument);
@@ -716,6 +718,10 @@ TEST(Prometheus, LabeledSeriesShareOneFamilyPerBaseName) {
 
 TEST(ExpositionServer, ReadinessClearsAfterLastServerShutdown) {
   obs::ExpositionServer& srv = obs::ExpositionServer::start_global(0);
+  // A running server does not move: a later layer's other port throws.
+  EXPECT_THROW(obs::configure(core::KeyValueConfig::from_string(
+                   "statusz_port = " + std::to_string(srv.port() % 65535 + 1))),
+               std::invalid_argument);
   Rng rng(3);
   nn::Sequential model = models::lenet5(1, 28, 10, rng);
   analog::VariationModel none{analog::VariationKind::kNone, 0.0f};

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -23,7 +24,9 @@
 #include "data/synthetic.h"
 #include "faultsim/campaign.h"
 #include "models/lenet.h"
+#include "obs/exposition.h"
 #include "obs/log.h"
+#include "obs/snapshot_stream.h"
 #include "obs/trace.h"
 #include "runtime/chip_farm.h"
 #include "runtime/inference_server.h"
@@ -462,6 +465,32 @@ TEST(Logger, InitFromEnvSetsLevel) {
   obs::Logger::global().set_level(obs::LogLevel::kInfo);
 }
 
+TEST(ObsConfigure, FileAndFlagLayersBeatTheEnvironment) {
+  // row default < environment < config file < flag, the server and the
+  // stream included: the environment's sinks are never opened.
+  const char* env[][2] = {{"CORRECTNET_METRICS", "test_obs_env.json"},
+                          {"CORRECTNET_METRICS_STREAM", "test_obs_env.jsonl"},
+                          {"CORRECTNET_STATUSZ_PORT", "99999"}};  // beaten
+  for (const auto& [name, value] : env) ::setenv(name, value, 1);
+  obs::configure(core::KeyValueConfig::from_string(
+      "metrics_out = test_obs.json\nmetrics_stream = test_obs.jsonl\nstatusz_port = -1\n"));
+  for (const auto& [name, value] : env) ::unsetenv(name);
+  EXPECT_EQ(obs::ExpositionServer::global(), nullptr);
+  // A running stream does not move: another path later fails loudly.
+  EXPECT_THROW(obs::configure(core::KeyValueConfig::from_string(
+                   "metrics_stream = test_obs_other.jsonl\n")),
+               std::invalid_argument);
+  obs::flush_observability_sinks();
+  obs::MetricsSnapshotter::stop_global();
+  obs::configure(core::KeyValueConfig::from_string("metrics_out =\n"));
+  for (const char* f : {"test_obs.json", "test_obs.jsonl"}) {
+    EXPECT_TRUE(std::ifstream(f).good()) << f;
+    std::remove(f);
+  }
+  for (const char* f : {"test_obs_env.json", "test_obs_env.jsonl", "test_obs_other.jsonl"})
+    EXPECT_FALSE(std::ifstream(f).good()) << f;
+}
+
 // ---------- server stats percentiles ----------
 
 TEST(ServerStats, PercentilesComeFromRealLatencies) {
@@ -517,7 +546,7 @@ TEST(ObsInvariant, CampaignReportByteIdenticalWithMetricsAndTracingOnOrOff) {
   // Relative to the ctest working directory (the build tree).
   const std::string metrics_path = "test_obs_metrics.json";
   const std::string trace_path = "test_obs_trace.json";
-  auto run_campaign = [&](bool instrumented) {
+  auto run_campaign = [&]() {
     faultsim::CampaignOptions co;
     co.chips = 2;
     co.seed = 77;
@@ -528,10 +557,6 @@ TEST(ObsInvariant, CampaignReportByteIdenticalWithMetricsAndTracingOnOrOff) {
     co.dev.program_sigma = 0.1f;
     co.dev.readout.read_sigma = 0.05f;
     co.remap.enabled = true;
-    if (instrumented) {
-      co.metrics_out = metrics_path;
-      co.trace_out = trace_path;
-    }
     faultsim::Campaign c(co);
     c.add_model("baseline", model, false);
     c.add_fault(faultsim::fault_free());
@@ -544,11 +569,16 @@ TEST(ObsInvariant, CampaignReportByteIdenticalWithMetricsAndTracingOnOrOff) {
 
   obs::metrics().set_enabled(false);
   obs::Tracer::global().set_enabled(false);
-  const std::string off = run_campaign(false);
+  const std::string off = run_campaign();
 
   obs::metrics().set_enabled(true);
   obs::Tracer::global().clear();
-  const std::string on = run_campaign(true);  // enables tracing itself
+  obs::configure(core::KeyValueConfig::from_string(  // enables tracing itself
+      "metrics_out = " + metrics_path + "\ntrace_out = " + trace_path + "\n"));
+  const std::string on = run_campaign();
+  obs::flush_observability_sinks();
+  obs::configure(
+      core::KeyValueConfig::from_string("metrics_out =\ntrace_out =\n"));
   obs::Tracer::global().set_enabled(false);
   obs::Tracer::global().clear();
 
@@ -569,19 +599,14 @@ TEST(ObsInvariant, CampaignReportByteIdenticalWithMetricsAndTracingOnOrOff) {
 }
 
 TEST(ObsInvariant, ConfigKeysCoverObservability) {
-  const auto& keys = faultsim::campaign_config_keys();
-  auto has = [&](const char* k) {
-    return std::find(keys.begin(), keys.end(), k) != keys.end();
-  };
-  EXPECT_TRUE(has("metrics_out"));
-  EXPECT_TRUE(has("trace_out"));
-  EXPECT_TRUE(has("log_level"));
-  EXPECT_TRUE(has("statusz_port"));
-  EXPECT_TRUE(has("metrics_stream"));
-  EXPECT_TRUE(has("slo_p99_ms"));
-  // And they parse end to end, including the loud failure on a bad level.
+  // Campaign files take every obs key and apply them through
+  // obs::configure, including the loud failure on a bad level.
+  for (const char* k : {"metrics_out", "trace_out", "log_level", "statusz_port",
+                        "metrics_stream", "slo_p99_ms"})
+    EXPECT_NO_THROW(core::knob(faultsim::campaign_knobs(), k)) << k;
   core::KeyValueConfig cfg = core::KeyValueConfig::from_string(
-      "stuck.rates = 0.01\nlog_level = info\nmetrics_out = \n");
+      "stuck.rates = 0.01\nlog_level = info\nmetrics_out = \ntrace_out = \n"
+      "statusz_port = -1\nmetrics_stream = \nslo_p99_ms = 0\n");
   faultsim::campaign_from_config(cfg);
   core::KeyValueConfig bad =
       core::KeyValueConfig::from_string("stuck.rates = 0.01\nlog_level = loud\n");
