@@ -114,18 +114,14 @@ void CrossbarTile::apply_faults(const FaultList& faults,
   lower();
 }
 
-void CrossbarTile::accumulate_matvec(const float* x, float* y, Rng* read_rng) const {
-  std::vector<double> ip(static_cast<size_t>(cols_));
-  std::vector<double> in(static_cast<size_t>(cols_));
-  std::vector<float> cur(static_cast<size_t>(cols_));
-  accumulate_row(x, y, read_rng, ip.data(), in.data(), cur.data());
-}
-
-void CrossbarTile::accumulate_row(const float* x, float* y, Rng* read_rng,
-                                  double* ip, double* in_acc, float* currents) const {
+void CrossbarTile::accumulate_matvec(const float* x, float* y,
+                                     const Reads& reads) const {
   // Currents on positive/negative bitlines.
-  std::fill(ip, ip + cols_, 0.0);
-  std::fill(in_acc, in_acc + cols_, 0.0);
+  std::vector<double> ip_buf(static_cast<size_t>(cols_), 0.0);
+  std::vector<double> in_buf(static_cast<size_t>(cols_), 0.0);
+  std::vector<float> cur(static_cast<size_t>(cols_));
+  double* ip = ip_buf.data();
+  double* in = in_buf.data();
   for (int64_t r = 0; r < rows_; ++r) {
     const float v = x[r];
     if (v == 0.0f) continue;
@@ -133,18 +129,20 @@ void CrossbarTile::accumulate_row(const float* x, float* y, Rng* read_rng,
     const float* gn = g_neg_.data() + r * cols_;
     for (int64_t c = 0; c < cols_; ++c) {
       ip[c] += static_cast<double>(v) * gp[c];
-      in_acc[c] += static_cast<double>(v) * gn[c];
+      in[c] += static_cast<double>(v) * gn[c];
     }
   }
   for (int64_t c = 0; c < cols_; ++c)
-    currents[c] = static_cast<float>(ip[c] - in_acc[c]);
-  finish_row(currents, y, read_rng);
+    cur[static_cast<size_t>(c)] = static_cast<float>(ip[c] - in[c]);
+  finish_row(cur.data(), y, reads, 0);
 }
 
-void CrossbarTile::finish_row(float* currents, float* y, Rng* read_rng) const {
-  if (read_rng && dev_.readout.read_sigma > 0.0f) {
+void CrossbarTile::finish_row(float* currents, float* y, const Reads& reads,
+                              int64_t item) const {
+  if (reads && dev_.readout.read_sigma > 0.0f) {
+    Rng rng(reads->stream(item));
     for (int64_t c = 0; c < cols_; ++c)
-      currents[c] *= 1.0f + static_cast<float>(read_rng->normal(0.0, dev_.readout.read_sigma));
+      currents[c] *= 1.0f + static_cast<float>(rng.normal(0.0, dev_.readout.read_sigma));
   }
   if (dev_.readout.adc_bits > 0) {
     // Full scale: every row driving g_max differentially.
@@ -156,18 +154,17 @@ void CrossbarTile::finish_row(float* currents, float* y, Rng* read_rng) const {
 }
 
 void CrossbarTile::finish_block(float* cur, int64_t nitems, float* y, int64_t ldy,
-                                Rng* const* item_rngs) const {
+                                const Reads& reads, int64_t item0) const {
   // Bitline-major block: (item i, bitline c) at cur[c * nitems + i]. Each
-  // item draws its read noise in bitline order from its own stream, exactly
-  // as finish_row does for one item.
+  // item draws its read noise in bitline order from its own read's stream,
+  // exactly as finish_row does for one item.
   const int64_t n = nitems * cols_;
-  if (item_rngs && dev_.readout.read_sigma > 0.0f) {
+  if (reads && dev_.readout.read_sigma > 0.0f) {
     for (int64_t i = 0; i < nitems; ++i) {
-      Rng* rng = item_rngs[i];
-      if (!rng) continue;
+      Rng rng(reads->stream(item0 + i));
       for (int64_t c = 0; c < cols_; ++c)
         cur[c * nitems + i] *=
-            1.0f + static_cast<float>(rng->normal(0.0, dev_.readout.read_sigma));
+            1.0f + static_cast<float>(rng.normal(0.0, dev_.readout.read_sigma));
     }
   }
   if (dev_.readout.adc_bits > 0) {
@@ -186,7 +183,7 @@ void CrossbarTile::finish_block(float* cur, int64_t nitems, float* y, int64_t ld
 void CrossbarTile::accumulate_rows(const float* x, int64_t nitems,
                                    int64_t x_item_stride, int64_t x_word_stride,
                                    float* y, int64_t ldy, bool y_bitline_major,
-                                   Rng* const* item_rngs, std::vector<float>& cur,
+                                   const Reads& reads, std::vector<float>& cur,
                                    exec::Scratch& scratch) const {
   // Item-blocking width never changes results (items accumulate
   // independently), only register/cache pressure.
@@ -196,18 +193,16 @@ void CrossbarTile::accumulate_rows(const float* x, int64_t nitems,
   for (int64_t done = 0; done < nitems; done += block) {
     const int64_t rb = std::min(block, nitems - done);
     const float* xb = x + done * x_item_stride;
-    Rng* const* rngs = item_rngs ? item_rngs + done : nullptr;
     if (y_bitline_major) {
       exec_->currents(xb, rb, x_item_stride, x_word_stride, cur.data(), 1, rb,
                       scratch);
-      finish_block(cur.data(), rb, y + done, ldy, rngs);
+      finish_block(cur.data(), rb, y + done, ldy, reads, done);
       continue;
     }
     exec_->currents(xb, rb, x_item_stride, x_word_stride, cur.data(), cols_, 1,
                     scratch);
     for (int64_t i = 0; i < rb; ++i)
-      finish_row(cur.data() + i * cols_, y + (done + i) * ldy,
-                 rngs ? rngs[i] : nullptr);
+      finish_row(cur.data() + i * cols_, y + (done + i) * ldy, reads, done + i);
   }
 }
 
@@ -271,20 +266,43 @@ CrossbarArray::CrossbarArray(const Tensor& w_out_in, const RramDeviceParams& dev
     col_groups_[static_cast<size_t>(tiles_[t].col0 / tile)].push_back(t);
 }
 
-Tensor CrossbarArray::matvec(const Tensor& x, Rng* read_rng) const {
+namespace {
+
+// Worker-owned buffers of the batched path, reused across calls so matmul
+// work units never allocate in steady state. One set per thread: a thread
+// runs one work unit at a time (nested parallel_for runs inline).
+struct MatmulScratch {
+  std::vector<float> cur;
+  exec::Scratch exec;
+};
+
+MatmulScratch& worker_scratch() {
+  thread_local MatmulScratch s;
+  return s;
+}
+
+// The key tile t of an array reads under (none stays none).
+Reads tile_reads(const Reads& reads, size_t t) {
+  return reads ? Reads(reads->for_tile(t)) : std::nullopt;
+}
+
+}  // namespace
+
+Tensor CrossbarArray::matvec(const Tensor& x, const Reads& reads) const {
   if (x.size() != in_) throw std::invalid_argument("CrossbarArray::matvec: size mismatch");
   Tensor y({out_});
   // DAC quantization applies once to the shared input voltages.
   Tensor x_q = x;
   dac_quantize(x_q, dev_.readout.dac_bits);
-  for (const Placed& p : tiles_) {
+  for (size_t t = 0; t < tiles_.size(); ++t) {
+    const Placed& p = tiles_[t];
     p.tile.accumulate_matvec(x_q.data() + p.row0, y.data() + p.col0,
-                             read_rng);
+                             tile_reads(reads, t));
   }
   return y;
 }
 
-Tensor CrossbarArray::matmul(const Tensor& x, Rng* read_rng) const {
+Tensor CrossbarArray::matmul(const Tensor& x, const Reads& reads) const {
   if (x.rank() != 2 || x.dim(1) != in_)
     throw std::invalid_argument("CrossbarArray::matmul: input must be (batch, in)");
   const int64_t n = x.dim(0);
@@ -299,22 +317,22 @@ Tensor CrossbarArray::matmul(const Tensor& x, Rng* read_rng) const {
     xd = x_q.data();
   }
   Tensor y({n, out_});
-  matmul_impl(xd, n, /*colmajor=*/false, y.data(), read_rng);
+  matmul_impl(xd, n, /*colmajor=*/false, y.data(), reads);
   return y;
 }
 
-Tensor CrossbarArray::matmul_cols(const Tensor& x_cm, Rng* read_rng) const {
+Tensor CrossbarArray::matmul_cols(const Tensor& x_cm, const Reads& reads) const {
   if (x_cm.rank() != 2 || x_cm.dim(0) != in_)
     throw std::invalid_argument(
         "CrossbarArray::matmul_cols: input must be (in, batch)");
   const int64_t n = x_cm.dim(1);
   Tensor y({out_, n});
-  matmul_cols(x_cm.data(), n, y.data(), read_rng);
+  matmul_cols(x_cm.data(), n, y.data(), reads);
   return y;
 }
 
 void CrossbarArray::matmul_cols(const float* x_cm, int64_t n, float* y,
-                                Rng* read_rng) const {
+                                const Reads& reads) const {
   Tensor x_q;
   if (dev_.readout.dac_bits > 0 && n > 0) {
     // DAC ranges are per input vector, i.e. per column here.
@@ -324,35 +342,13 @@ void CrossbarArray::matmul_cols(const float* x_cm, int64_t n, float* y,
       dac_quantize_span(x_q.data() + i, in_, dev_.readout.dac_bits, n);
     x_cm = x_q.data();
   }
-  matmul_impl(x_cm, n, /*colmajor=*/true, y, read_rng);
+  matmul_impl(x_cm, n, /*colmajor=*/true, y, reads);
 }
-
-namespace {
-
-// Worker-owned buffers of the batched path, reused across calls so matmul
-// work units never allocate in steady state. One set per thread: a thread
-// runs one work unit at a time (nested parallel_for runs inline).
-struct MatmulScratch {
-  std::vector<float> cur;
-  std::vector<Rng> rngs;
-  std::vector<Rng*> rng_ptrs;
-  exec::Scratch exec;
-};
-
-MatmulScratch& worker_scratch() {
-  thread_local MatmulScratch s;
-  return s;
-}
-
-}  // namespace
 
 void CrossbarArray::matmul_impl(const float* xd, int64_t n, bool colmajor,
-                                float* y, Rng* read_rng) const {
+                                float* y, const Reads& reads) const {
   std::fill(y, y + n * out_, 0.0f);
   if (n == 0) return;
-  const bool noisy = reads_noisy(read_rng);
-  const uint64_t noise_base = noisy ? read_rng->next_u64() : 0ull;
-
   const int64_t row_block = 64;
   const int64_t nblocks = (n + row_block - 1) / row_block;
   const int64_t ngroups = static_cast<int64_t>(col_groups_.size());
@@ -364,28 +360,20 @@ void CrossbarArray::matmul_impl(const float* xd, int64_t n, bool colmajor,
       const int64_t r1 = std::min(n, r0 + row_block);
       for (size_t t : group) {
         const Placed& p = tiles_[t];
-        Rng* const* item_rngs = nullptr;
-        if (noisy) {
-          s.rngs.clear();
-          s.rng_ptrs.clear();
-          for (int64_t i = r0; i < r1; ++i)
-            s.rngs.emplace_back(mix64(noise_base ^
-                                      (static_cast<uint64_t>(t) * 0x100000001ull +
-                                       static_cast<uint64_t>(i))));
-          for (auto& r : s.rngs) s.rng_ptrs.push_back(&r);
-          item_rngs = s.rng_ptrs.data();
-        }
+        // Row r0 of this block is read first + r0 (its tile's key).
+        Reads block_reads = tile_reads(reads, t);
+        if (block_reads) block_reads->first += static_cast<uint64_t>(r0);
         // Column-major batches keep their orientation end to end: items
         // (conv output pixels) are contiguous in x, in the kernel's lanes,
         // and in y's bitline rows.
         if (colmajor)
           p.tile.accumulate_rows(xd + p.row0 * n + r0, r1 - r0, 1, n,
                                  y + p.col0 * n + r0, n, /*y_bitline_major=*/true,
-                                 item_rngs, s.cur, s.exec);
+                                 block_reads, s.cur, s.exec);
         else
           p.tile.accumulate_rows(xd + r0 * in_ + p.row0, r1 - r0, in_, 1,
                                  y + r0 * out_ + p.col0, out_,
-                                 /*y_bitline_major=*/false, item_rngs, s.cur,
+                                 /*y_bitline_major=*/false, block_reads, s.cur,
                                  s.exec);
       }
     }

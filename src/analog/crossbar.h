@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,30 @@ struct RramReadout {
   int adc_bits = 0;         // >0: quantize accumulated currents
   int dac_bits = 0;         // >0: quantize input voltages
 };
+
+/// Names a run of crossbar reads for read noise: item i of a batched call is
+/// read number `first + i` of the layer whose read seed is `seed`. Item i's
+/// noise on tile t is Rng(for_tile(t).stream(i)) drawn in bitline order — a
+/// pure function of (seed, read ordinal, tile), so it does not depend on the
+/// execution path, the batch a read rides in, or the reads before it.
+struct ReadKey {
+  uint64_t seed = 0;
+  uint64_t first = 0;
+
+  /// The key tile t of an array reads under (same reads, tile-salted seed).
+  ReadKey for_tile(size_t t) const {
+    return {mix64(seed ^ (0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(t) + 1))),
+            first};
+  }
+  /// Seed of item i's noise stream.
+  uint64_t stream(int64_t i) const {
+    return mix64(seed ^ (first + static_cast<uint64_t>(i)));
+  }
+};
+
+/// A read key, or none for quiet reads (no read noise drawn even when the
+/// device has read_sigma > 0).
+using Reads = std::optional<ReadKey>;
 
 /// Physical device / periphery parameters of one crossbar tile.
 struct RramDeviceParams {
@@ -153,13 +178,8 @@ class CrossbarTile {
                     remap::RemapStats* stats = nullptr);
 
   /// y_j += Σ_i x_i · w_eff(i,j); applies read noise/ADC if configured.
-  void accumulate_matvec(const float* x, float* y, Rng* read_rng) const;
-
-  /// accumulate_matvec with caller-provided scratch (each >= cols()): the
-  /// per-column path without re-allocation. Bit-identical to
-  /// accumulate_matvec for the same rng state.
-  void accumulate_row(const float* x, float* y, Rng* read_rng, double* ip,
-                      double* in_acc, float* currents) const;
+  /// `reads` is this tile's key; the vector is its read `first`.
+  void accumulate_matvec(const float* x, float* y, const Reads& reads) const;
 
   /// Batched path: accumulates `nitems` input vectors into y through the
   /// tile's lowered execution target, item-blocked so conductance loads
@@ -171,28 +191,30 @@ class CrossbarTile {
   /// else into y[i * ldy + c]; the current block between kernel and readout
   /// tail takes the same orientation. With a bit-exact target each result
   /// is bit-identical to accumulate_matvec (same per-column wordline
-  /// accumulation order, same per-item read-noise draws). `item_rngs`
-  /// (nullable) holds one read-noise stream per item; `cur` (grown on
-  /// demand) and `scratch` are the calling worker's buffers.
+  /// accumulation order, same per-read noise draws). `reads` is this tile's
+  /// key, item i being read `first + i`; `cur` (grown on demand) and
+  /// `scratch` are the calling worker's buffers.
   void accumulate_rows(const float* x, int64_t nitems, int64_t x_item_stride,
                        int64_t x_word_stride, float* y, int64_t ldy,
-                       bool y_bitline_major, Rng* const* item_rngs,
+                       bool y_bitline_major, const Reads& reads,
                        std::vector<float>& cur, exec::Scratch& scratch) const;
 
   /// The effective (perturbed, quantized) weight matrix (rows=in, cols=out).
   Tensor effective_weights() const;
 
  private:
-  /// Read noise + ADC + scaled accumulation of one current row into y;
-  /// shared tail of the scalar and batched paths (exact parity).
-  void finish_row(float* currents, float* y, Rng* read_rng) const;
+  /// Read noise (as item `item` of `reads`) + ADC + scaled accumulation of
+  /// one current row into y; shared tail of the scalar and batched paths
+  /// (exact parity).
+  void finish_row(float* currents, float* y, const Reads& reads,
+                  int64_t item) const;
 
   /// finish_row over a bitline-major block of `nitems` items — current
   /// (item i, bitline c) at cur[c * nitems + i], result into
-  /// y[c * ldy + i] — with the same per-element arithmetic and the same
-  /// per-item noise draws, vectorized over items.
+  /// y[c * ldy + i], block item i being item `item0 + i` of `reads` — with
+  /// the same per-element arithmetic and noise draws, vectorized over items.
   void finish_block(float* cur, int64_t nitems, float* y, int64_t ldy,
-                    Rng* const* item_rngs) const;
+                    const Reads& reads, int64_t item0) const;
 
   /// (Re-)lowers the programmed conductances through the execution target
   /// (after programming or fault injection): the target may precompute
@@ -236,39 +258,32 @@ class CrossbarArray {
   /// The execution target this array was lowered with.
   const exec::Target& target() const { return *target_; }
 
-  /// Whether a read with `read_rng` draws read noise (a stream is given and
-  /// the device has read_sigma > 0); such reads consume the stream, so
-  /// callers sharing one stream must issue them in order.
-  bool reads_noisy(const Rng* read_rng) const {
-    return read_rng && dev_.readout.read_sigma > 0.0f;
-  }
-
-  /// y = W_eff · x, with optional read noise if `read_rng` provided and the
-  /// device has read_sigma > 0.
-  Tensor matvec(const Tensor& x, Rng* read_rng = nullptr) const;
+  /// y = W_eff · x, as read `reads->first`; read noise is drawn when a key
+  /// is given and the device has read_sigma > 0.
+  Tensor matvec(const Tensor& x, const Reads& reads = std::nullopt) const;
 
   /// Y = X · W_eff^T for X (batch, in) -> Y (batch, out): every row of X is
-  /// one wordline-voltage vector. Tile-blocked and threadpool-parallel over
-  /// (output-tile group × row block); with read noise off the result is
-  /// bit-identical to matvec row by row (same accumulation order). With read
-  /// noise on, one u64 is drawn from `read_rng` and independent per-(tile,
-  /// row) streams are derived from it, so the output is deterministic for a
-  /// given rng state regardless of thread count or row blocking.
-  Tensor matmul(const Tensor& x, Rng* read_rng = nullptr) const;
+  /// one wordline-voltage vector, row i being read `reads->first + i`.
+  /// Tile-blocked and threadpool-parallel over (output-tile group × row
+  /// block); with a bit-exact target row i is bit-identical to matvec of
+  /// row i as read `first + i`, read noise included (same accumulation
+  /// order, same per-(read, tile) noise streams), whatever the thread count,
+  /// row blocking or batch size.
+  Tensor matmul(const Tensor& x, const Reads& reads = std::nullopt) const;
 
   /// matmul for a column-major batch: X (in, batch) -> Y (out, batch),
-  /// column b of X being one wordline-voltage vector and column b of Y its
-  /// result. This is the natural layout of im2col inputs and of NCHW
-  /// outputs: for one image, Y is the conv's (out_c, OH*OW) plane as is.
-  /// The kernels put batch items in their SIMD lanes. Same bit-exactness
-  /// and read-noise guarantees as matmul (Y is matmul's result transposed,
-  /// for the same rng state).
-  Tensor matmul_cols(const Tensor& x_cm, Rng* read_rng = nullptr) const;
+  /// column b of X being one wordline-voltage vector (read
+  /// `reads->first + b`) and column b of Y its result. This is the natural
+  /// layout of im2col inputs and of NCHW outputs: for one image, Y is the
+  /// conv's (out_c, OH*OW) plane as is. The kernels put batch items in their
+  /// SIMD lanes. Same bit-exactness and read-noise guarantees as matmul (Y is
+  /// matmul's result transposed for the same key).
+  Tensor matmul_cols(const Tensor& x_cm, const Reads& reads = std::nullopt) const;
 
   /// Raw-buffer matmul_cols: x_cm holds in_dim() x n floats (column-major
   /// batch), y receives out_dim() x n floats (overwritten).
   void matmul_cols(const float* x_cm, int64_t n, float* y,
-                   Rng* read_rng = nullptr) const;
+                   const Reads& reads = std::nullopt) const;
 
   /// Reconstructs the full effective weight matrix (out, in) for validation.
   Tensor effective_weights() const;
@@ -281,7 +296,7 @@ class CrossbarArray {
   /// Shared batched path: y is (n, out) for a row-major x, (out, n) for a
   /// column-major one; overwritten.
   void matmul_impl(const float* xd, int64_t n, bool colmajor, float* y,
-                   Rng* read_rng) const;
+                   const Reads& reads) const;
 
   struct Placed {
     int64_t row0, col0;  // offsets in the (in, out) orientation

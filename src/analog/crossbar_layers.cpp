@@ -29,9 +29,14 @@ Tensor CrossbarDense::forward_impl(const Tensor& x, bool relu) {
   if (x.rank() != 2 || x.dim(1) != xbar_->in_dim())
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
   const int64_t N = x.dim(0), out = xbar_->out_dim(), in = xbar_->in_dim();
-  Rng* rng = effective_read_rng();
+  // Row n is read reads_ + n.
+  auto reads_from = [&, first = reads_](int64_t n) -> Reads {
+    if (!read_seed_) return std::nullopt;
+    return ReadKey{*read_seed_, first + static_cast<uint64_t>(n)};
+  };
+  reads_ += static_cast<uint64_t>(N);
   if (batched_) {
-    Tensor y = xbar_->matmul(x, rng);
+    Tensor y = xbar_->matmul(x, reads_from(0));
     // (v + bias) then max: identical values to bias-add + standalone ReLU.
     if (relu) {
       for (int64_t n = 0; n < N; ++n)
@@ -47,7 +52,7 @@ Tensor CrossbarDense::forward_impl(const Tensor& x, bool relu) {
   Tensor xi({in});
   for (int64_t n = 0; n < N; ++n) {
     std::copy(x.data() + n * in, x.data() + (n + 1) * in, xi.data());
-    Tensor yi = xbar_->matvec(xi, rng);
+    Tensor yi = xbar_->matvec(xi, reads_from(n));
     if (relu)
       for (int64_t o = 0; o < out; ++o)
         y[n * out + o] = std::max(yi[o] + bias_[o], 0.0f);
@@ -110,7 +115,12 @@ Tensor CrossbarConv2D::forward_impl(const Tensor& x, bool relu,
   const int64_t img_in = geom_.in_c * geom_.in_h * geom_.in_w;
   const int64_t pwin = post_pool ? post_pool->window : 1;
   const int64_t img_out = out_c_ * (OH / pwin) * (OW / pwin);
-  Rng* rng = effective_read_rng();
+  // Image n's pixel p is read reads_ + n·P + p.
+  auto reads_from = [&, first = reads_](int64_t n, int64_t p) -> Reads {
+    if (!read_seed_) return std::nullopt;
+    return ReadKey{*read_seed_, first + static_cast<uint64_t>(n * P + p)};
+  };
+  reads_ += static_cast<uint64_t>(N * P);
   Tensor y({N, out_c_, OH / pwin, OW / pwin});
   // One im2col matrix per image (P output pixels = P wordline vectors,
   // column-major as im2col writes it). The crossbar returns the image's
@@ -124,12 +134,12 @@ Tensor CrossbarConv2D::forward_impl(const Tensor& x, bool relu,
       im2col(x.data() + n * img_in, geom_, cols.data());
       float* out = post_pool ? full.data() : y.data() + n * img_out;
       if (batched_) {
-        xbar_->matmul_cols(cols.data(), P, out, rng);
+        xbar_->matmul_cols(cols.data(), P, out, reads_from(n, 0));
       } else {
         // Each output pixel: one crossbar MVM over its im2col column.
         for (int64_t p = 0; p < P; ++p) {
           for (int64_t k = 0; k < K2; ++k) col[k] = cols[static_cast<size_t>(k * P + p)];
-          const Tensor acts = xbar_->matvec(col, rng);
+          const Tensor acts = xbar_->matvec(col, reads_from(n, p));
           for (int64_t o = 0; o < out_c_; ++o) out[o * P + p] = acts[o];
         }
       }
@@ -148,13 +158,9 @@ Tensor CrossbarConv2D::forward_impl(const Tensor& x, bool relu,
     }
   };
   // Images run in parallel, each one's crossbar pass inline on its worker
-  // (one dispatch per forward, not one per image). A noisy read consumes
-  // the layer's stream, so with read noise on the images go in order to
-  // keep their noise realizations.
-  if (xbar_->reads_noisy(rng))
-    run_images(0, N);
-  else
-    parallel_for(0, N, run_images);
+  // (one dispatch per forward, not one per image); every read's noise is
+  // keyed by its ordinal, so the order images run in cannot change it.
+  parallel_for(0, N, run_images);
   return y;
 }
 

@@ -14,6 +14,13 @@
 // whole batches per tile pass); set_batched(false) restores the original
 // per-column matvec loop, kept as the baseline for bench_runtime and the
 // exact-equivalence tests.
+//
+// Read noise: after set_read_seed(seed) every wordline vector a layer reads
+// gets the next read ordinal of that layer — dense row n of a forward is read
+// reads + n, conv image n's output pixel p is read reads + n·P + p, and a
+// forward advances the count by N (dense) or N·P (conv). Its noise is keyed
+// by (seed, ordinal, tile) alone (see ReadKey), so both execution paths draw
+// identical noise and a sample's noise does not depend on its batch.
 #pragma once
 
 #include <memory>
@@ -50,29 +57,23 @@ class CrossbarDense final : public nn::Layer {
   bool is_analog() const override { return true; }
 
   const CrossbarArray& array() const { return *xbar_; }
-  /// Enables per-read noise using an external stream (nullptr disables).
-  /// The stream is shared by clones — single-threaded use only; concurrent
-  /// chip instances must use set_read_seed instead.
-  void set_read_rng(Rng* rng) { read_rng_ = rng; }
-  /// Enables per-read noise from a layer-owned stream. Clones copy the
-  /// stream state by value, so each clone draws independently — safe for
-  /// concurrent chip instances (give every instance its own seed).
-  void set_read_seed(uint64_t seed) { owned_read_rng_.emplace(seed); }
+  /// Enables per-read noise keyed by `seed` and restarts the read count at
+  /// 0. Clones copy the seed and count by value, so each clone reads
+  /// independently — safe for concurrent chip instances.
+  void set_read_seed(uint64_t seed) {
+    read_seed_ = seed;
+    reads_ = 0;
+  }
   /// Switches between batched matmul (default) and per-column matvec.
   void set_batched(bool batched) { batched_ = batched; }
 
  private:
-  Rng* effective_read_rng() {
-    if (read_rng_) return read_rng_;
-    return owned_read_rng_ ? &*owned_read_rng_ : nullptr;
-  }
-
   Tensor forward_impl(const Tensor& x, bool relu);
 
   std::shared_ptr<CrossbarArray> xbar_;  // shared by clones (programmed once)
   Tensor bias_;
-  Rng* read_rng_ = nullptr;
-  std::optional<Rng> owned_read_rng_;
+  std::optional<uint64_t> read_seed_;  // unset: quiet reads
+  uint64_t reads_ = 0;                 // rows read since set_read_seed
   bool batched_ = true;
 };
 
@@ -101,24 +102,22 @@ class CrossbarConv2D final : public nn::Layer {
   bool is_analog() const override { return true; }
 
   const CrossbarArray& array() const { return *xbar_; }
-  void set_read_rng(Rng* rng) { read_rng_ = rng; }
-  void set_read_seed(uint64_t seed) { owned_read_rng_.emplace(seed); }
+  /// As CrossbarDense::set_read_seed; each output pixel is one read.
+  void set_read_seed(uint64_t seed) {
+    read_seed_ = seed;
+    reads_ = 0;
+  }
   void set_batched(bool batched) { batched_ = batched; }
 
  private:
-  Rng* effective_read_rng() {
-    if (read_rng_) return read_rng_;
-    return owned_read_rng_ ? &*owned_read_rng_ : nullptr;
-  }
-
   Tensor forward_impl(const Tensor& x, bool relu, const nn::PrePool* post_pool);
 
   std::shared_ptr<CrossbarArray> xbar_;
   ConvGeom geom_;
   int64_t out_c_;
   Tensor bias_;
-  Rng* read_rng_ = nullptr;
-  std::optional<Rng> owned_read_rng_;
+  std::optional<uint64_t> read_seed_;  // unset: quiet reads
+  uint64_t reads_ = 0;                 // output pixels read since set_read_seed
   bool batched_ = true;
 };
 
@@ -143,8 +142,8 @@ nn::Sequential program_to_crossbars(const nn::Sequential& model,
                                     const exec::Target* target = nullptr);
 
 /// Gives every crossbar layer in `model` (recursing into nested Sequentials)
-/// its own read-noise stream, seeded deterministically from `seed`. Replaces
-/// the shared-Rng* pattern for concurrent chip instances.
+/// its own read seed, derived deterministically from `seed`, and restarts
+/// every layer's read count.
 void set_read_seeds(nn::Sequential& model, uint64_t seed);
 
 /// Toggles batched vs per-column execution on every crossbar layer.

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace cn::nn {
 
@@ -19,6 +20,16 @@ template <typename T>
 void read_pod(std::ifstream& is, T& v) {
   is.read(reinterpret_cast<char*>(&v), sizeof(T));
   if (!is) throw std::runtime_error("load_weights: truncated file");
+}
+
+// Throws unless `bytes` more bytes are left in a file of `size` bytes, so a
+// corrupt length field cannot size an allocation beyond the file.
+void require_bytes(std::ifstream& is, uint64_t size, uint64_t bytes,
+                   const char* field) {
+  const uint64_t pos = static_cast<uint64_t>(is.tellg());
+  if (bytes > size - pos)
+    throw std::runtime_error(std::string("load_weights: ") + field +
+                             " exceeds the bytes left in the file");
 }
 }  // namespace
 
@@ -41,8 +52,10 @@ void save_weights(Sequential& model, const std::string& path) {
 }
 
 void load_weights(Sequential& model, const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) throw std::runtime_error("load_weights: cannot open " + path);
+  const uint64_t size = static_cast<uint64_t>(is.tellg());
+  is.seekg(0);
   uint32_t magic = 0, version = 0;
   uint64_t count = 0;
   read_pod(is, magic);
@@ -56,10 +69,12 @@ void load_weights(Sequential& model, const std::string& path) {
   for (Param* p : params) {
     uint32_t name_len = 0;
     read_pod(is, name_len);
+    require_bytes(is, size, name_len, "name length");
     std::string name(name_len, '\0');
     is.read(name.data(), name_len);
     uint32_t rank = 0;
     read_pod(is, rank);
+    require_bytes(is, size, uint64_t{rank} * sizeof(int64_t), "rank");
     Shape shape(rank);
     for (auto& d : shape) read_pod(is, d);
     if (shape != p->value.shape())

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -270,6 +271,10 @@ void ExpositionServer::acceptor_loop() {
       if (errno == EINTR) continue;
       return;  // listen fd shut down by stop()
     }
+    timeval deadline{};
+    deadline.tv_sec = static_cast<time_t>(kRequestReadDeadline.count() / 1000);
+    deadline.tv_usec = static_cast<suseconds_t>(kRequestReadDeadline.count() % 1000 * 1000);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
     // Read up to the end of the request line; HTTP/1.0, GET only, so the
     // first line is all that matters.
     std::string req;

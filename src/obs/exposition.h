@@ -16,7 +16,8 @@
 // Deliberately not a web framework: HTTP/1.0, Connection: close, GET only,
 // bound to 127.0.0.1 by default. One scraper at 10 Hz is the design load
 // (bench_runtime pins the overhead); requests are served on the acceptor
-// thread, so a slow client delays the next scrape, never the serving path.
+// thread, so a slow client delays the next scrape, never the serving path,
+// and an idle one is dropped after kRequestReadDeadline.
 //
 // The PR 7 invariant extends to the live tier: request handling only reads
 // registry atomics and formats strings — no rng streams, no numeric paths —
@@ -28,12 +29,18 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace cn::obs {
+
+/// Receive timeout (SO_RCVTIMEO) on every accepted connection: a client that
+/// sends nothing for this long is answered and closed, so it cannot hold the
+/// acceptor thread and with it /healthz.
+inline constexpr std::chrono::milliseconds kRequestReadDeadline{1000};
 
 struct ExpositionServerOptions {
   int port = 0;                   // 0 = ephemeral (port() reports the bound one)

@@ -73,9 +73,9 @@ nn::Sequential& ChipFarm::chip(int64_t s) {
     populate(slot, s);
     sl.sample = s;
   } else if (crossbar_) {
-    // Re-arm the read-noise streams on every handout: a persistent slot must
-    // not remember noise draws a previous evaluation consumed, or repeated
-    // runs would depend on how many slots the farm keeps live.
+    // Re-arm the read seeds on every handout: a persistent slot must not
+    // remember the reads a previous evaluation counted, or repeated runs
+    // would depend on how many slots the farm keeps live.
     analog::set_read_seeds(*sl.model, read_seed(s));
   }
   return *sl.model;

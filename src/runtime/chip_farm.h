@@ -11,8 +11,8 @@
 //    variation factors sampled from Rng(chip_seed(s)) (paper Eq. 1-2, the
 //    fast path used by mc_accuracy and the Fig. 9 sweep);
 //  - crossbar mode: chip s = program_to_crossbars(base, dev, Rng(chip_seed(s)))
-//    — the device-level substrate with tiling, quantization and an owned
-//    per-chip read-noise stream (no shared-Rng races across instances).
+//    — the device-level substrate with tiling, quantization and read noise
+//    keyed by the chip's read seed, the read ordinal and the tile.
 //
 // Memory is bounded by `max_live` physical slots: logical chip s lives in
 // slot s % num_live() and is re-materialized when a different sample last
@@ -78,10 +78,10 @@ class ChipFarm {
   uint64_t chip_seed(int64_t s) const;
 
   /// The model realizing logical chip s, materialized on demand in slot
-  /// s % num_live(). Crossbar chips are handed out with freshly re-armed
-  /// read-noise streams (seeded from chip s), so an evaluation starting at a
-  /// handout is bit-identical no matter which slot hosts the chip or what
-  /// ran before. See the threading contract above.
+  /// s % num_live(). Crossbar chips are handed out with their read seeds
+  /// (derived from chip s) re-armed and read counters at 0, so an evaluation
+  /// starting at a handout is bit-identical no matter which slot hosts the
+  /// chip or what ran before. See the threading contract above.
   nn::Sequential& chip(int64_t s);
 
   /// Re-keys the whole farm (the Fig. 9 sweep re-runs the same chips with a

@@ -89,13 +89,12 @@ TEST(CrossbarArray, ReadNoiseOnlyWithRng) {
   dev.readout.read_sigma = 0.05f;
   CrossbarArray xbar(w, dev, rng, 4);
   Tensor x({4}, 1.0f);
-  // Without read rng: deterministic.
+  // Without a read key: deterministic.
   Tensor y1 = xbar.matvec(x);
   Tensor y2 = xbar.matvec(x);
   for (int64_t i = 0; i < y1.size(); ++i) EXPECT_FLOAT_EQ(y1[i], y2[i]);
-  // With read rng: noisy.
-  Rng read_rng(7);
-  Tensor y3 = xbar.matvec(x, &read_rng);
+  // With a read key: noisy.
+  Tensor y3 = xbar.matvec(x, ReadKey{7, 0});
   float diff = 0.0f;
   for (int64_t i = 0; i < y1.size(); ++i) diff += std::fabs(y3[i] - y1[i]);
   EXPECT_GT(diff, 1e-7f);

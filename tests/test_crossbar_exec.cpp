@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -38,12 +39,16 @@ RramDeviceParams ideal() {
 // array from (dev, faults) explicitly on that target and asserts
 // y == matvec row by row for matmul and matmul_cols on a random batch. Each
 // target's array is programmed from a freshly re-seeded rng, so all targets
-// execute identical conductances; matvec itself is target-independent. Read
-// noise stays off: with a noise stream the two paths intentionally derive
-// different per-row rngs.
+// execute identical conductances; matvec itself is target-independent. With
+// a `noise_seed` every path reads under it, batch row n as read 5 + n.
 void expect_paths_bit_identical(const RramDeviceParams& dev,
                                 const FaultList* faults, uint64_t seed,
-                                const std::string& what) {
+                                const std::string& what,
+                                std::optional<uint64_t> noise_seed = std::nullopt) {
+  auto reads = [&](uint64_t first) -> Reads {
+    if (!noise_seed) return std::nullopt;
+    return ReadKey{*noise_seed, first};
+  };
   constexpr int64_t kIn = 23, kOut = 11, kBatch = 6;
   Rng rng(seed);
   Tensor w({kOut, kIn});
@@ -60,13 +65,13 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
     Rng prog(seed + 1);
     CrossbarArray xbar(w, dev, prog, /*tile=*/8, faults, nullptr,
                        t);  // multiple tiles both ways
-    Tensor y_batch = xbar.matmul(x);
+    Tensor y_batch = xbar.matmul(x, reads(5));
     // matmul_cols returns (out, batch); transposed back to matmul's layout.
-    Tensor y_cols = transpose(xbar.matmul_cols(x_cm));
+    Tensor y_cols = transpose(xbar.matmul_cols(x_cm, reads(5)));
     Tensor xi({kIn});
     for (int64_t n = 0; n < kBatch; ++n) {
       std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
-      Tensor yi = xbar.matvec(xi);
+      Tensor yi = xbar.matvec(xi, reads(5 + static_cast<uint64_t>(n)));
       const std::string row = what + " [" + t->name() + "] row " +
                               std::to_string(n);
       testutil::expect_bitwise_equal(y_batch.data() + n * kOut, yi.data(),
@@ -86,6 +91,7 @@ TEST(CrossbarExec, PeripheryCombosKeepBatchedAndMatvecBitIdentical) {
     const char* name;
     int adc_bits, dac_bits, levels;
     float program_sigma, read_sigma;
+    bool keyed = false;  // reads carry a noise key
   };
   const Combo combos[] = {
       {"adc only", 6, 0, 0, 0.0f, 0.0f},
@@ -94,9 +100,11 @@ TEST(CrossbarExec, PeripheryCombosKeepBatchedAndMatvecBitIdentical) {
       {"adc+variation", 8, 0, 0, 0.25f, 0.0f},
       {"dac+levels", 0, 6, 8, 0.0f, 0.0f},
       {"adc+dac+levels+variation", 6, 6, 16, 0.15f, 0.0f},
-      // read_sigma configured but no stream handed out: the noise gate in
+      // read_sigma configured but no key handed out: the noise gate in
       // finish_row must stay off on both paths.
-      {"read_sigma without stream", 6, 4, 0, 0.1f, 0.2f},
+      {"read_sigma without key", 6, 4, 0, 0.1f, 0.2f},
+      {"read noise", 0, 0, 0, 0.0f, 0.1f, true},
+      {"read noise+adc+dac+levels+variation", 6, 6, 16, 0.15f, 0.1f, true},
   };
   uint64_t seed = 100;
   for (const Combo& c : combos) {
@@ -106,7 +114,9 @@ TEST(CrossbarExec, PeripheryCombosKeepBatchedAndMatvecBitIdentical) {
     dev.conductance_levels = c.levels;
     dev.program_sigma = c.program_sigma;
     dev.readout.read_sigma = c.read_sigma;
-    expect_paths_bit_identical(dev, nullptr, seed += 7, c.name);
+    seed += 7;
+    expect_paths_bit_identical(dev, nullptr, seed, c.name,
+                               c.keyed ? std::optional<uint64_t>(seed + 3) : std::nullopt);
   }
 }
 
@@ -256,9 +266,8 @@ TEST(CrossbarExec, Int8TargetStaysInsidePinnedTolerances) {
 }
 
 TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
-  // With read noise on, matvec and matmul use different stream derivations
-  // by design; what each must guarantee is exact reproducibility from the
-  // rng state.
+  // Parity of the paths under noise is pinned above; here: a read key
+  // reproduces its output, and a different seed changes it.
   RramDeviceParams dev = ideal();
   dev.readout.read_sigma = 0.1f;
   Rng rng(300);
@@ -266,26 +275,14 @@ TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
   rng.fill_normal(w, 0.0f, 0.5f);
   Rng prog(301);
   CrossbarArray xbar(w, dev, prog, 8);
-  Tensor x({4, 17});
+  Tensor x({17});
   rng.fill_normal(x, 0.0f, 1.0f);
-
-  Rng ra(77), rb(77);
-  Tensor ya = xbar.matmul(x, &ra);
-  Tensor yb = xbar.matmul(x, &rb);
-  testutil::expect_bitwise_equal(ya, yb, "same-seed matmul reads");
-
-  Tensor xi({17});
-  std::copy(x.data(), x.data() + 17, xi.data());
-  Rng rc(78), rd(78);
-  Tensor yc = xbar.matvec(xi, &rc);
-  Tensor yd = xbar.matvec(xi, &rd);
-  testutil::expect_bitwise_equal(yc, yd, "same-seed matvec reads");
-  // And the noise actually engages: a different seed changes the output.
-  Rng re(79);
-  Tensor ye = xbar.matvec(xi, &re);
+  const Tensor y = xbar.matvec(x, ReadKey{77, 3});
+  testutil::expect_bitwise_equal(y, xbar.matvec(x, ReadKey{77, 3}), "same key");
+  const Tensor other = xbar.matvec(x, ReadKey{78, 3});
   double diff = 0.0;
-  for (int64_t i = 0; i < yc.size(); ++i)
-    diff += std::abs(static_cast<double>(yc[i]) - ye[i]);
+  for (int64_t i = 0; i < y.size(); ++i)
+    diff += std::abs(static_cast<double>(y[i]) - other[i]);
   EXPECT_GT(diff, 0.0);
 }
 
@@ -323,9 +320,9 @@ Tensor conv_input(const ConvCase& cc, uint64_t seed, int64_t batch = 2) {
 
 // For every bit-exact target this host can execute: a CrossbarConv2D's
 // batched forward (pixel lanes, bitline-major readout) must equal its own
-// per-column matvec forward bit for bit, with and without the ReLU epilogue.
-// `tile` below K2 and out_c splits the array into several row tiles and
-// column groups.
+// per-column matvec forward bit for bit, with and without the ReLU epilogue,
+// quiet and with read noise keyed by a read seed. `tile` below K2 and out_c
+// splits the array into several row tiles and column groups.
 void expect_conv_paths_bit_identical(const ConvCase& cc, const RramDeviceParams& dev,
                                      const FaultList* faults,
                                      const remap::RemapParams* remap,
@@ -334,17 +331,25 @@ void expect_conv_paths_bit_identical(const ConvCase& cc, const RramDeviceParams&
   const nn::Conv2D conv = make_conv(cc, seed);
   const Tensor x = conv_input(cc, seed + 1);
   int targets_run = 0;
+  RramDeviceParams noisy = dev;
+  noisy.readout.read_sigma = 0.1f;
   for (const exec::Target* t : exec::registered_targets()) {
     if (!t->bit_exact() || !t->available()) continue;
     ++targets_run;
-    Rng prog(seed + 2);
-    CrossbarConv2D xc(conv, dev, prog, tile, faults, remap, t);
-    const Tensor batched = xc.forward(x, false);
-    const Tensor batched_relu = xc.forward_relu(x);
-    xc.set_batched(false);
-    const std::string tag = what + " " + cc.name + " [" + t->name() + "]";
-    testutil::expect_bitwise_equal(batched, xc.forward(x, false), tag);
-    testutil::expect_bitwise_equal(batched_relu, xc.forward_relu(x), tag + " relu");
+    for (const bool keyed : {false, true}) {
+      Rng prog(seed + 2);
+      CrossbarConv2D xc(conv, keyed ? noisy : dev, prog, tile, faults, remap, t);
+      // Each path starts at read 0: the relu forward reads the next N·P.
+      if (keyed) xc.set_read_seed(seed + 3);
+      const Tensor batched = xc.forward(x, false);
+      const Tensor batched_relu = xc.forward_relu(x);
+      xc.set_batched(false);
+      if (keyed) xc.set_read_seed(seed + 3);
+      const std::string tag = what + " " + cc.name + " [" + t->name() + "]" +
+                              (keyed ? " read noise" : "");
+      testutil::expect_bitwise_equal(batched, xc.forward(x, false), tag);
+      testutil::expect_bitwise_equal(batched_relu, xc.forward_relu(x), tag + " relu");
+    }
   }
   // simd and its pinned generic level are always executable.
   ASSERT_GE(targets_run, 2) << what;
@@ -391,45 +396,6 @@ TEST(CrossbarConvParity, AdcAndDacPeriphery) {
   for (const ConvCase& cc : kConvCases)
     expect_conv_paths_bit_identical(cc, dev, nullptr, nullptr, seed += 10, /*tile=*/8,
                                     "adc+dac");
-}
-
-TEST(CrossbarConvParity, ReadNoiseDrawsMatchTheRowMajorBatchedPath) {
-  // With read noise on, the batched path derives one stream per (tile, item)
-  // from a per-call draw — by design not matvec's single sequential stream
-  // — so the reference here is the row-major batched path (bitline lanes,
-  // item-major readout), fed each image's transposed im2col matrix from an
-  // identically seeded rng: every pixel must see the same noise draws in the
-  // same bitline order.
-  RramDeviceParams dev = ideal();
-  dev.program_sigma = 0.1f;
-  dev.readout.read_sigma = 0.1f;
-  dev.readout.adc_bits = 8;
-  dev.readout.dac_bits = 6;
-  for (const ConvCase& cc : kConvCases) {
-    nn::Conv2D conv = make_conv(cc, 4000);
-    const Tensor x = conv_input(cc, 4001);
-    const ConvGeom g = conv.geom();
-    const int64_t P = g.out_h() * g.out_w(), K2 = g.in_c * g.k_h * g.k_w;
-    for (const exec::Target* t : exec::registered_targets()) {
-      if (!t->bit_exact() || !t->available()) continue;
-      Rng prog(4002);
-      CrossbarConv2D xc(conv, dev, prog, /*tile=*/8, nullptr, nullptr, t);
-      Rng ra(77), rb(77);
-      xc.set_read_rng(&ra);
-      const Tensor y = xc.forward(x, false);
-
-      Tensor ref(y.shape());
-      Tensor cols({K2, P});
-      for (int64_t n = 0; n < x.dim(0); ++n) {
-        im2col(x.data() + n * g.in_c * g.in_h * g.in_w, g, cols.data());
-        const Tensor acts = xc.array().matmul(transpose(cols), &rb);  // (P, out_c)
-        for (int64_t o = 0; o < cc.out_c; ++o)
-          for (int64_t p = 0; p < P; ++p)
-            ref[(n * cc.out_c + o) * P + p] = acts[p * cc.out_c + o] + conv.bias().value[o];
-      }
-      testutil::expect_bitwise_equal(y, ref, std::string(cc.name) + " [" + t->name() + "]");
-    }
-  }
 }
 
 TEST(CrossbarConvParity, PostPoolFusionMatchesTheUnfusedPlan) {

@@ -7,12 +7,18 @@
 // exposition server live and a scraper hammering it mid-run.
 #include "obs/exposition.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <map>
 #include <random>
@@ -492,6 +498,30 @@ TEST(ExpositionServer, RoutesAndReadiness) {
   EXPECT_TRUE(pc2.check(body)) << pc2.err;
   srv.stop();
   srv.stop();  // idempotent
+}
+
+TEST(ExpositionServer, IdleClientCannotHoldHealthz) {
+  // One acceptor thread serves every request; a client that connects and
+  // sends nothing is dropped after the read deadline instead of blocking
+  // /healthz behind it for as long as it stays open.
+  obs::ExpositionServer srv;
+  srv.set_ready(true);
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(srv.port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  auto probe = std::async(std::launch::async, [&] {
+    return obs::http_get_local(srv.port(), "/healthz");
+  });
+  const bool answered =
+      probe.wait_for(obs::kRequestReadDeadline + std::chrono::seconds(1)) ==
+      std::future_status::ready;
+  ::close(idle);  // releases a server without a deadline, so no hang either way
+  ASSERT_TRUE(answered) << "/healthz blocked behind an idle connection";
+  EXPECT_EQ(http_status(probe.get()), 200);
 }
 
 TEST(ExpositionServer, StatuszSectionsComeAndGo) {

@@ -1,6 +1,6 @@
 // The batched/parallel inference runtime: ChipFarm determinism, McEngine
 // thread-count invariance, batched crossbar execution equivalence, the
-// per-clone read-noise streams, the indexed scenario scheduler, and the
+// per-clone read-noise keys, the indexed scenario scheduler, and the
 // micro-batching InferenceServer.
 #include <atomic>
 #include <chrono>
@@ -170,21 +170,37 @@ TEST(CrossbarMatmul, MatchesMatvecExactlyUnderQuantization) {
 }
 
 TEST(CrossbarLayers, BatchedForwardMatchesPerColumnPath) {
+  // Quiet and with read noise: every read's noise is keyed by (read seed,
+  // read ordinal, tile), so both paths draw identical noise, and four
+  // batches of 1 read what one batch of 4 reads.
   CN_SKIP_UNLESS_BIT_EXACT_TARGET();
   auto& f = fixture();
-  analog::RramDeviceParams dev = quiet_dev();
-  dev.program_sigma = 0.3f;
-  Rng prog(21);
-  nn::Sequential chip = analog::program_to_crossbars(f.model, dev, prog);
   Tensor x({4, 1, 28, 28});
   std::copy(f.ds.test.images.data(), f.ds.test.images.data() + x.size(), x.data());
-  analog::set_batched(chip, true);
-  Tensor y_batched = chip.forward(x, false);
-  analog::set_batched(chip, false);
-  Tensor y_columns = chip.forward(x, false);
-  ASSERT_EQ(y_batched.shape(), y_columns.shape());
-  for (int64_t i = 0; i < y_batched.size(); ++i)
-    EXPECT_EQ(y_batched[i], y_columns[i]) << "logit " << i;
+  const int64_t img = x.size() / 4;
+  Tensor xi({1, 1, 28, 28});
+  for (const float read_sigma : {0.0f, 0.1f}) {
+    analog::RramDeviceParams dev = quiet_dev();
+    dev.program_sigma = 0.3f;
+    dev.readout.read_sigma = read_sigma;
+    Rng prog(21);
+    nn::Sequential chip = analog::program_to_crossbars(f.model, dev, prog);
+    const std::string tag = "read_sigma " + std::to_string(read_sigma) + ": ";
+    analog::set_read_seeds(chip, 23);
+    const Tensor y_batched = chip.forward(x, false);
+    analog::set_batched(chip, false);
+    analog::set_read_seeds(chip, 23);
+    testutil::expect_bitwise_equal(y_batched, chip.forward(x, false), tag + "per-column");
+    analog::set_batched(chip, true);
+    analog::set_read_seeds(chip, 23);
+    const int64_t classes = y_batched.dim(1);
+    for (int64_t n = 0; n < 4; ++n) {
+      std::copy(x.data() + n * img, x.data() + (n + 1) * img, xi.data());
+      testutil::expect_bitwise_equal(y_batched.data() + n * classes,
+                                     chip.forward(xi, false).data(), classes,
+                                     tag + "batch of 1, image " + std::to_string(n));
+    }
+  }
 }
 
 // ---------- ChipFarm ----------
@@ -259,31 +275,38 @@ TEST(McEngine, CrossbarReadNoiseIdenticalAcrossSlotCountsAndRuns) {
   // Regression: a persistent slot must not remember read-noise draws a
   // previous evaluation consumed — chip handouts re-arm the streams, so
   // results cannot depend on max_live or on how often the farm was used.
+  // Nor on batch_size: test image k is read k of each layer (k·P + p for
+  // pixel p of a conv) however the images are batched.
   auto& f = fixture();
   analog::RramDeviceParams dev = quiet_dev();
   dev.program_sigma = 0.2f;
   dev.readout.read_sigma = 0.05f;
-  auto run = [&](int64_t max_live) {
+  auto run = [&](int64_t max_live, int64_t batch_size) {
     ChipFarmOptions fo;
     fo.instances = 3;
     fo.seed = 5;
     fo.max_live = max_live;
     ChipFarm farm(f.model, dev, fo);
     McEngineOptions eo;
-    eo.batch_size = 64;
+    eo.batch_size = batch_size;
     McEngine engine(farm, eo);
     const core::McResult first = engine.accuracy(f.ds.test);
     const core::McResult second = engine.accuracy(f.ds.test);
     for (size_t s = 0; s < first.samples.size(); ++s)
       EXPECT_DOUBLE_EQ(first.samples[s], second.samples[s])
-          << "repeat run, max_live " << max_live << " sample " << s;
+          << "repeat run, max_live " << max_live << " batch " << batch_size
+          << " sample " << s;
     return first;
   };
-  const core::McResult one = run(1);
-  const core::McResult all = run(3);
-  ASSERT_EQ(one.samples.size(), 3u);
-  for (size_t s = 0; s < 3; ++s)
-    EXPECT_DOUBLE_EQ(one.samples[s], all.samples[s]) << "sample " << s;
+  const core::McResult ref = run(1, 64);
+  ASSERT_EQ(ref.samples.size(), 3u);
+  for (const int64_t batch_size : {1, 7, 64}) {
+    const core::McResult all = run(3, batch_size);
+    ASSERT_EQ(all.samples.size(), 3u);
+    for (size_t s = 0; s < 3; ++s)
+      EXPECT_DOUBLE_EQ(ref.samples[s], all.samples[s])
+          << "batch " << batch_size << " sample " << s;
+  }
 }
 
 TEST(MonteCarlo, ZeroSampleBudgetIsANoop) {
@@ -328,7 +351,7 @@ TEST(McEngine, SensitivitySweepMatchesCoreApi) {
   }
 }
 
-// ---------- read-noise streams across concurrent clones ----------
+// ---------- read-noise keys across concurrent clones ----------
 
 TEST(ReadNoise, OwnedStreamsAreDeterministicUnderConcurrency) {
   auto& f = fixture();
@@ -341,12 +364,13 @@ TEST(ReadNoise, OwnedStreamsAreDeterministicUnderConcurrency) {
   Tensor x({2, 1, 28, 28});
   std::copy(f.ds.test.images.data(), f.ds.test.images.data() + x.size(), x.data());
 
-  // Reference: one clone, K sequential forwards (each draws fresh noise, so
-  // consecutive outputs differ but the whole sequence is seed-determined).
+  // Reference: one clone, K sequential forwards (each reads the next
+  // ordinals, so consecutive outputs differ but the sequence is
+  // seed-determined).
   constexpr int kForwards = 4;
   std::vector<Tensor> expected;
   {
-    auto ref = chip.clone();  // clones copy the owned rng state
+    auto ref = chip.clone();  // clones copy the read seed and count
     for (int i = 0; i < kForwards; ++i) expected.push_back(ref->forward(x, false));
   }
   double drift = 0.0;
@@ -354,7 +378,7 @@ TEST(ReadNoise, OwnedStreamsAreDeterministicUnderConcurrency) {
     drift += std::abs(static_cast<double>(expected[0][i]) - expected[1][i]);
   EXPECT_GT(drift, 0.0) << "read noise should vary between reads";
 
-  // Concurrent clones: every clone starts from the same copied stream state,
+  // Concurrent clones: every clone starts from the same copied read count,
   // so each thread must reproduce the reference sequence exactly. With the
   // old shared-Rng* wiring the interleaved draws made this nondeterministic
   // (and racy).

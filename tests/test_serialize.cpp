@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "models/lenet.h"
 #include "nn/dense.h"
@@ -94,6 +97,51 @@ TEST(Serialize, CorruptFileRejected) {
   Sequential m("m");
   m.emplace<Dense>(2, 2);
   EXPECT_THROW(load_weights(m, path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(is), {});
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream os(path, std::ios::binary);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Serialize, HostileLengthFieldsAndTruncationRejected) {
+  // Length fields are bounded by the bytes left in the file: an inflated
+  // name length or rank must throw, not allocate gigabytes.
+  Sequential a("a");
+  a.emplace<Dense>(4, 4, "d");
+  const std::string path = temp_path("cn_test_hostile.wts");
+  save_weights(a, path);
+  const std::vector<char> valid = read_file(path);
+  Sequential b("b");
+  b.emplace<Dense>(4, 4, "d");
+  // Header: magic u32, version u32, count u64; then the first param's
+  // name_len u32, name, rank u32.
+  constexpr size_t kNameLen = 16;
+  uint32_t name_len = 0;
+  std::memcpy(&name_len, valid.data() + kNameLen, sizeof(name_len));
+  const size_t rank_at = kNameLen + sizeof(uint32_t) + name_len;
+  for (const size_t field : {kNameLen, rank_at}) {
+    for (const uint32_t inflated : {0xFFFFFFFFu, 0x10000000u, 1000u}) {
+      std::vector<char> bad = valid;
+      std::memcpy(bad.data() + field, &inflated, sizeof(inflated));
+      write_file(path, bad);
+      EXPECT_THROW(load_weights(b, path), std::runtime_error)
+          << "field at " << field << " = " << inflated;
+    }
+  }
+  for (size_t len = 0; len < valid.size(); ++len) {
+    write_file(path, std::vector<char>(valid.begin(),
+                                       valid.begin() + static_cast<std::ptrdiff_t>(len)));
+    EXPECT_THROW(load_weights(b, path), std::runtime_error) << "truncated at " << len;
+  }
+  write_file(path, valid);
+  EXPECT_NO_THROW(load_weights(b, path));
   std::remove(path.c_str());
 }
 
