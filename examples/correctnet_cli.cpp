@@ -68,9 +68,8 @@ int list_targets(const char* argv0) {
   }
   std::printf("registered execution targets (* = default):\n");
   for (const cn::exec::Target* t : cn::exec::registered_targets())
-    std::printf("%c %-14s %-12s %-10s %s\n", t->name() == def ? '*' : ' ',
+    std::printf("%c %-14s %-12s %s\n", t->name() == def ? '*' : ' ',
                 t->name().c_str(), t->available() ? "available" : "unavailable",
-                t->bit_exact() ? "bit-exact" : "approx",
                 t->description().c_str());
   return 0;
 }
@@ -134,16 +133,17 @@ int run_faults(int argc, char** argv) {
   campaign.add_model("suppressed", r.lipschitz_model, false);
   campaign.add_model("corrected", r.corrected_model, true);
 
+  const faultsim::CampaignOptions& co = campaign.options();
   std::printf("\nrunning fault campaign: %lld scenarios (%lld fault specs x %lld "
               "protection variants%s), target %s, concurrency %lld\n",
               static_cast<long long>(campaign.num_scenarios()),
               static_cast<long long>(campaign.num_faults()),
               static_cast<long long>(campaign.num_models()),
-              campaign.remap_enabled() ? " x 2 remap variants" : "",
-              campaign.target().empty() ? exec::default_target().name().c_str()
-                                        : campaign.target().c_str(),
+              co.remap.enabled ? " x 2 remap variants" : "",
+              co.target.empty() ? exec::default_target().name().c_str()
+                                : co.target.c_str(),
               static_cast<long long>(runtime::effective_concurrency(
-                  campaign.parallel_scenarios(), campaign.num_scenarios())));
+                  co.parallel_scenarios, campaign.num_scenarios())));
   const faultsim::CampaignReport report = campaign.run(ds.test);
 
   std::printf("\n==== fault campaign (%lld chips/scenario, %.2fs) ====\n",

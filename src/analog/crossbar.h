@@ -189,11 +189,11 @@ class CrossbarTile {
   /// im2col outputs (item_stride = 1, word_stride = ld). Result (item i,
   /// bitline c) accumulates into y[c * ldy + i] when `y_bitline_major`,
   /// else into y[i * ldy + c]; the current block between kernel and readout
-  /// tail takes the same orientation. With a bit-exact target each result
-  /// is bit-identical to accumulate_matvec (same per-column wordline
-  /// accumulation order, same per-read noise draws). `reads` is this tile's
-  /// key, item i being read `first + i`; `cur` (grown on demand) and
-  /// `scratch` are the calling worker's buffers.
+  /// tail takes the same orientation. Each result is bit-identical to
+  /// accumulate_matvec (same per-column wordline accumulation order, same
+  /// per-read noise draws). `reads` is this tile's key, item i being read
+  /// `first + i`; `cur` (grown on demand) and `scratch` are the calling
+  /// worker's buffers.
   void accumulate_rows(const float* x, int64_t nitems, int64_t x_item_stride,
                        int64_t x_word_stride, float* y, int64_t ldy,
                        bool y_bitline_major, const Reads& reads,
@@ -218,7 +218,7 @@ class CrossbarTile {
 
   /// (Re-)lowers the programmed conductances through the execution target
   /// (after programming or fault injection): the target may precompute
-  /// whatever representation it executes from (double copies, int8 planes).
+  /// whatever representation it executes from (e.g. padded double copies).
   void lower();
 
   int64_t rows_, cols_;
@@ -265,10 +265,9 @@ class CrossbarArray {
   /// Y = X · W_eff^T for X (batch, in) -> Y (batch, out): every row of X is
   /// one wordline-voltage vector, row i being read `reads->first + i`.
   /// Tile-blocked and threadpool-parallel over (output-tile group × row
-  /// block); with a bit-exact target row i is bit-identical to matvec of
-  /// row i as read `first + i`, read noise included (same accumulation
-  /// order, same per-(read, tile) noise streams), whatever the thread count,
-  /// row blocking or batch size.
+  /// block); row i is bit-identical to matvec of row i as read `first + i`,
+  /// read noise included (same accumulation order, same per-(read, tile)
+  /// noise streams), whatever the thread count, row blocking or batch size.
   Tensor matmul(const Tensor& x, const Reads& reads = std::nullopt) const;
 
   /// matmul for a column-major batch: X (in, batch) -> Y (out, batch),

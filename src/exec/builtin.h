@@ -16,6 +16,4 @@ namespace cn::exec::detail {
 /// one pinned registration per ISA level.
 void append_simd_targets(std::vector<std::unique_ptr<Target>>& out);
 
-std::unique_ptr<Target> make_int8_target();
-
 }  // namespace cn::exec::detail

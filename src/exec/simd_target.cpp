@@ -368,7 +368,6 @@ class SimdTarget final : public Target {
            level_name(pinned_) + " ISA level";
   }
   bool available() const override { return pinned_ <= simd::max_level(); }
-  bool bit_exact() const override { return true; }
   std::unique_ptr<TileExec> lower(const TileView& tile) const override {
     return std::make_unique<SimdTileExec>(
         tile, pinned_ < 0 ? simd::max_level() : pinned_);

@@ -57,7 +57,6 @@ void ensure_init_locked(Registry& r) {
   if (r.initialized) return;
   r.initialized = true;
   detail::append_simd_targets(r.targets);
-  r.targets.push_back(detail::make_int8_target());
   r.builtin_default = find_locked(r, "simd");
   const std::string env =
       core::KeyValueConfig::from_env(knobs()).str("CORRECTNET_TARGET");

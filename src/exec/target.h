@@ -2,12 +2,11 @@
 //
 // A Target is one way of executing the hot bitline-current kernel: it lowers
 // a programmed tile (TileView) into a TileExec, an immutable executable the
-// batched matmul dispatches to. Targets self-describe (name, availability on
-// this host, whether results are bit-identical to the scalar matvec
-// reference) and live in a process-wide registry, so frontends can enumerate
-// them (`correctnet_cli --list-targets`), configs can select them by name
-// (the campaign `target` key), and new backends plug in without touching the
-// dispatch sites.
+// batched matmul dispatches to. Targets self-describe (name, description,
+// availability on this host) and live in a process-wide registry, so
+// frontends can enumerate them (`correctnet_cli --list-targets`), configs can
+// select them by name (the campaign `target` key), and new backends plug in
+// without touching the dispatch sites.
 //
 // Built-in registrations:
 //   simd          register-blocked kernels at the widest ISA level this
@@ -15,19 +14,17 @@
 //   simd-generic  the portable kernels, pinned
 //   simd-avx2     AVX2 kernels, pinned (x86-64 GCC builds on AVX2 hosts)
 //   simd-avx512f  AVX-512F kernels, pinned
-//   int8          digital half quantized to int8 end-to-end (approximate;
-//                 documented accuracy bounds, see docs/ARCHITECTURE.md)
 //
 // The lowering seam is deliberately narrow — conductance arrays in, current
 // blocks out — so an offload target (GPU, accelerator API) can fill it without
 // the analog layer changing: implement Target::lower, call register_target.
 //
-// Bit-exactness contract: a Target reporting bit_exact() must produce
-// currents bit-identical to CrossbarTile's per-column scalar reference under
-// every fault model and remap setting (per-column accumulation in ascending
-// wordline order, double accumulators, no FMA contraction — see the parity
-// suites in tests/test_crossbar_exec.cpp). Approximate targets (int8) are
-// exempt but must stay inside their pinned regression tolerances.
+// Bit-exactness contract: every Target must produce currents bit-identical
+// to CrossbarTile's per-column scalar reference under every fault model and
+// remap setting (per-column accumulation in ascending wordline order, double
+// accumulators, no FMA contraction — see the parity suites in
+// tests/test_crossbar_exec.cpp). A target therefore never changes a result,
+// only how fast it is computed.
 //
 // The process default target is, in increasing precedence: "simd", the
 // CORRECTNET_TARGET environment variable (validated at first registry use;
@@ -59,28 +56,13 @@ struct TileView {
 /// reused across calls so the hot loop never allocates. One Scratch per
 /// thread — TileExec itself must stay stateless across calls.
 struct Scratch {
-  double* doubles(size_t n) {
-    if (d_.size() < n) d_.resize(n);
-    return d_.data();
-  }
   float* floats(size_t n) {
     if (f32_.size() < n) f32_.resize(n);
     return f32_.data();
   }
-  int32_t* ints(size_t n) {
-    if (i32_.size() < n) i32_.resize(n);
-    return i32_.data();
-  }
-  int8_t* bytes(size_t n) {
-    if (i8_.size() < n) i8_.resize(n);
-    return i8_.data();
-  }
 
  private:
-  std::vector<double> d_;
   std::vector<float> f32_;
-  std::vector<int32_t> i32_;
-  std::vector<int8_t> i8_;
 };
 
 /// One tile lowered for execution. Implementations are immutable after
@@ -132,11 +114,9 @@ class Target {
   virtual std::string description() const = 0;
   /// Capability probe: can this build + host execute the target?
   virtual bool available() const = 0;
-  /// Whether results are bit-identical to the scalar matvec reference (see
-  /// the contract in the header comment).
-  virtual bool bit_exact() const = 0;
-  /// Lowers one programmed tile into an executable. May throw when the tile
-  /// shape is outside the target's envelope (e.g. int8 accumulator range).
+  /// Lowers one programmed tile into an executable whose currents match the
+  /// scalar reference bitwise (see the contract in the header comment). May
+  /// throw when the tile shape is outside the target's envelope.
   virtual std::unique_ptr<TileExec> lower(const TileView& tile) const = 0;
 };
 

@@ -13,8 +13,8 @@
 // written to its grid-order slot (deterministic reduction keyed by scenario
 // index, never by completion order). Per-scenario chip seeds depend only on
 // (campaign seed, fault index), so the CampaignReport — including its JSON —
-// is byte-identical for any scheduling (asserted in tier-1 and by
-// bench_faultsim).
+// is byte-identical for any scheduling (asserted in tier-1:
+// Campaign.SequentialVsParallelReportsAreByteIdentical).
 //
 // The *description* of a campaign (FaultSpecs + model variants + options) is
 // plain data, separate from *execution* (run) and *reporting*
@@ -53,8 +53,7 @@ struct CampaignOptions {
   double catastrophic_below = 0.2;  // accuracy counted as catastrophic failure
   // Execution target every scenario's crossbar farms lower with, validated
   // against the exec registry by the Campaign ctor. Empty = process default.
-  // Bit-exact targets never change a report; approximate ones (int8) shift
-  // accuracies within their pinned bounds.
+  // Every target is bit-exact, so it never changes a report.
   std::string target;
   analog::RramDeviceParams dev;     // baseline device every scenario starts from
   // Fault-aware remapping protection axis: when `remap.enabled`, every
@@ -126,12 +125,9 @@ class Campaign {
 
   int64_t num_models() const { return static_cast<int64_t>(models_.size()); }
   int64_t num_faults() const { return static_cast<int64_t>(faults_.size()); }
-  /// Whether the remap-on/off protection axis is part of the grid.
-  bool remap_enabled() const { return opts_.remap.enabled; }
-  /// The scenario-concurrency knob (0 = auto); frontends print it.
-  int64_t parallel_scenarios() const { return opts_.parallel_scenarios; }
-  /// The configured execution target ("" = process default).
-  const std::string& target() const { return opts_.target; }
+  /// Every option the campaign was built with (frontends print the target,
+  /// the remap axis and the scenario concurrency from it).
+  const CampaignOptions& options() const { return opts_; }
   /// Grid size = fault specs x protection variants x remap variants.
   int64_t num_scenarios() const {
     return num_models() * num_faults() * (opts_.remap.enabled ? 2 : 1);

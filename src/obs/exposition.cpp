@@ -271,15 +271,22 @@ void ExpositionServer::acceptor_loop() {
       if (errno == EINTR) continue;
       return;  // listen fd shut down by stop()
     }
-    timeval deadline{};
-    deadline.tv_sec = static_cast<time_t>(kRequestReadDeadline.count() / 1000);
-    deadline.tv_usec = static_cast<suseconds_t>(kRequestReadDeadline.count() % 1000 * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
     // Read up to the end of the request line; HTTP/1.0, GET only, so the
-    // first line is all that matters.
+    // first line is all that matters. One deadline per connection, fixed at
+    // accept: the receive timeout is re-armed to the time that remains
+    // before every recv, so a client dripping a byte at a time cannot
+    // stretch the read past it.
+    const auto deadline = std::chrono::steady_clock::now() + kRequestReadDeadline;
     std::string req;
     char buf[1024];
     while (req.find('\n') == std::string::npos && req.size() < 8192) {
+      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) break;
+      timeval tv{};  // never all-zero here: a zero SO_RCVTIMEO means no timeout
+      tv.tv_sec = static_cast<time_t>(left.count() / 1000000);
+      tv.tv_usec = static_cast<suseconds_t>(left.count() % 1000000);
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
       const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
       if (n <= 0) break;
       req.append(buf, static_cast<size_t>(n));

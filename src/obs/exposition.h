@@ -14,10 +14,11 @@
 //              InferenceServer summary + SLO status)
 //
 // Deliberately not a web framework: HTTP/1.0, Connection: close, GET only,
-// bound to 127.0.0.1 by default. One scraper at 10 Hz is the design load
-// (bench_runtime pins the overhead); requests are served on the acceptor
-// thread, so a slow client delays the next scrape, never the serving path,
-// and an idle one is dropped after kRequestReadDeadline.
+// bound to 127.0.0.1 by default. One scraper at 10 Hz is the design load;
+// requests are served on the acceptor thread, so a slow client delays the
+// next scrape, never the serving path, and one that has not sent its
+// request line within kRequestReadDeadline of accept is answered and
+// dropped.
 //
 // The PR 7 invariant extends to the live tier: request handling only reads
 // registry atomics and formats strings — no rng streams, no numeric paths —
@@ -37,9 +38,10 @@
 
 namespace cn::obs {
 
-/// Receive timeout (SO_RCVTIMEO) on every accepted connection: a client that
-/// sends nothing for this long is answered and closed, so it cannot hold the
-/// acceptor thread and with it /healthz.
+/// Read deadline of every accepted connection, counted from accept: a client
+/// that has not sent its request line by then is answered and closed,
+/// however it paces its bytes, so it cannot hold the acceptor thread and
+/// with it /healthz.
 inline constexpr std::chrono::milliseconds kRequestReadDeadline{1000};
 
 struct ExpositionServerOptions {
@@ -120,7 +122,7 @@ std::vector<std::string> healthz_failing_probes();
 std::string render_statusz(bool ready);
 
 /// Blocking one-shot HTTP GET against 127.0.0.1:port — the scrape client
-/// used by tests, the bench scraper leg, and nothing else. Returns the raw
+/// used by tests and nothing else. Returns the raw
 /// response (status line, headers, body); throws on connect/read failure.
 std::string http_get_local(int port, const std::string& path);
 

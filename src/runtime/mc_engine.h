@@ -9,8 +9,8 @@
 //
 // Execution-target selection rides the farm (ChipFarmOptions::target /
 // exec::default_target()): the engine evaluates whatever target the farm's
-// crossbar chips were lowered with, and bit-exact targets leave every
-// McResult byte-identical by the registry's parity contract.
+// crossbar chips were lowered with, and every target leaves the McResult
+// byte-identical by the registry's parity contract.
 #pragma once
 
 #include "core/montecarlo.h"

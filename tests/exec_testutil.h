@@ -1,11 +1,9 @@
 // Shared helpers for suites that assert the bit-exactness contract between
 // execution paths (batched crossbar vs scalar matvec, fused vs unfused
-// graphs). The contract is a property of the execution target: under an
-// approximate ambient target (the CORRECTNET_TARGET=int8 CI matrix leg)
-// those assertions are vacuously out of force, so the tests skip — loudly,
-// with the target named — instead of failing. Per-target parity itself is
-// proven with explicit targets in tests/test_crossbar_exec.cpp, which runs
-// identically under every leg.
+// graphs). Every execution target honors the contract (exec/target.h), so
+// these assertions hold under whatever CORRECTNET_TARGET the run forces;
+// per-target parity itself is proven with explicit targets in
+// tests/test_crossbar_exec.cpp.
 //
 // expect_bitwise_equal is the shared parity assertion: one failure per call
 // with the first mismatching index, both values, the magnitude of the
@@ -21,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/target.h"
 #include "tensor/tensor.h"
 
 namespace cn::testutil {
@@ -71,12 +68,3 @@ inline void expect_bitwise_equal(const Tensor& got, const Tensor& want,
 }
 
 }  // namespace cn::testutil
-
-#define CN_SKIP_UNLESS_BIT_EXACT_TARGET()                                  \
-  do {                                                                     \
-    const cn::exec::Target& cn_ambient = cn::exec::default_target();       \
-    if (!cn_ambient.bit_exact())                                           \
-      GTEST_SKIP() << "ambient execution target '" << cn_ambient.name()    \
-                   << "' is approximate; the bit-exactness contract this " \
-                      "test asserts is not in force";                      \
-  } while (0)

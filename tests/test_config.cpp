@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -11,6 +13,7 @@
 #include "../examples/frontend_knobs.h"
 #include "exec/target.h"
 #include "faultsim/campaign.h"
+#include "mutation_testutil.h"
 #include "nn/fusion.h"
 #include "obs/metrics.h"
 #include "runtime/serving_config.h"
@@ -321,6 +324,148 @@ TEST(ServingConfig, RejectsMalformedDeployments) {
   // An int list reads whole integers: 1.5 must not drill worker 1.
   EXPECT_THROW(parse("models = a\nworkers = 2\ndrill.workers = 1.5\n"),
                std::runtime_error);
+}
+
+// ---------- struct defaults agree with the rows ----------
+// A member initializer and its row default are two spellings of one value;
+// an empty config (or environment) must read back the default-constructed
+// struct field by field, so changing either spelling alone fails here.
+
+TEST(ServingConfig, EmptyConfigMatchesStructDefaults) {
+  const runtime::ServingConfig got = runtime::serving_from_config(KeyValueConfig{});
+  const runtime::ServingConfig want{};
+  EXPECT_EQ(got.models, want.models);
+  EXPECT_EQ(got.chips, want.chips);
+  EXPECT_EQ(got.live_slots, want.live_slots);
+  EXPECT_EQ(got.workers, want.workers);
+  EXPECT_EQ(got.max_batch, want.max_batch);
+  EXPECT_EQ(got.max_wait_us, want.max_wait_us);
+  EXPECT_EQ(got.queue_limit, want.queue_limit);
+  EXPECT_EQ(got.queue_budget_us, want.queue_budget_us);
+  EXPECT_EQ(got.admission_burn_max, want.admission_burn_max);
+  EXPECT_EQ(got.slo_p99_ms, want.slo_p99_ms);
+  EXPECT_EQ(got.drill_kind, want.drill_kind);
+  EXPECT_EQ(got.drill_severity, want.drill_severity);
+  EXPECT_EQ(got.drill_workers, want.drill_workers);
+  EXPECT_EQ(got.drill_action, want.drill_action);
+}
+
+TEST(CampaignConfig, EmptyConfigMatchesOptionDefaults) {
+  const faultsim::Campaign c = faultsim::campaign_from_config(KeyValueConfig{});
+  const faultsim::CampaignOptions& got = c.options();
+  const faultsim::CampaignOptions want{};
+  EXPECT_EQ(got.chips, want.chips);
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(got.batch_size, want.batch_size);
+  EXPECT_EQ(got.tile, want.tile);
+  EXPECT_EQ(got.target, want.target);
+  EXPECT_EQ(got.parallel_scenarios, want.parallel_scenarios);
+  EXPECT_EQ(got.catastrophic_below, want.catastrophic_below);
+  EXPECT_EQ(got.dev.program_sigma, want.dev.program_sigma);
+  EXPECT_EQ(got.dev.conductance_levels, want.dev.conductance_levels);
+  EXPECT_EQ(got.dev.readout.read_sigma, want.dev.readout.read_sigma);
+  EXPECT_EQ(got.dev.readout.adc_bits, want.dev.readout.adc_bits);
+  EXPECT_EQ(got.dev.readout.dac_bits, want.dev.readout.dac_bits);
+  EXPECT_EQ(got.remap.enabled, want.remap.enabled);
+  EXPECT_EQ(got.remap.spare_rows, want.remap.spare_rows);
+  EXPECT_EQ(got.remap.spare_cols, want.remap.spare_cols);
+  EXPECT_EQ(got.remap.pair_swap, want.remap.pair_swap);
+  // The empty grid is the fault-free control alone.
+  EXPECT_EQ(c.num_faults(), 1);
+
+  // The fault-grid rows must default to the builders' own defaults: a spec
+  // built from the row values equals one built from the default arguments.
+  KeyValueConfig cfg;
+  cfg.check(faultsim::campaign_knobs());
+  const faultsim::FaultSpec s_row =
+      faultsim::stuck_at(0.01, cfg.number("stuck.high_fraction"));
+  const faultsim::FaultSpec s_def = faultsim::stuck_at(0.01);
+  const auto* sr = dynamic_cast<const faultsim::StuckAtFault*>(s_row.models.at(0).get());
+  const auto* sd = dynamic_cast<const faultsim::StuckAtFault*>(s_def.models.at(0).get());
+  ASSERT_TRUE(sr && sd);
+  EXPECT_EQ(sr->rate_low, sd->rate_low);
+  EXPECT_EQ(sr->rate_high, sd->rate_high);
+  const faultsim::FaultSpec d_row = faultsim::drift(
+      10.0, cfg.number("drift.nu"), cfg.number("drift.nu_sigma"));
+  const faultsim::FaultSpec d_def = faultsim::drift(10.0);
+  const auto* dr = dynamic_cast<const faultsim::DriftFault*>(d_row.models.at(0).get());
+  const auto* dd = dynamic_cast<const faultsim::DriftFault*>(d_def.models.at(0).get());
+  ASSERT_TRUE(dr && dd);
+  EXPECT_EQ(dr->nu_mean, dd->nu_mean);
+  EXPECT_EQ(dr->nu_sigma, dd->nu_sigma);
+  const faultsim::FaultSpec t_row = faultsim::thermal(400.0, cfg.number("thermal.t0"));
+  const faultsim::FaultSpec t_def = faultsim::thermal(400.0);
+  const auto* tr = dynamic_cast<const faultsim::ThermalFault*>(t_row.models.at(0).get());
+  const auto* td = dynamic_cast<const faultsim::ThermalFault*>(t_def.models.at(0).get());
+  ASSERT_TRUE(tr && td);
+  EXPECT_EQ(tr->t_nominal, td->t_nominal);
+}
+
+TEST(RuntimeConfig, EmptyEnvironmentMatchesStructDefaults) {
+  // Unset every CORRECTNET_* row variable for the duration of the read.
+  std::vector<std::pair<std::string, std::string>> saved;
+  for (const Knob& k : RuntimeConfig::knobs()) {
+    if (const char* v = std::getenv(k.env.c_str())) saved.emplace_back(k.env, v);
+    ::unsetenv(k.env.c_str());
+  }
+  const RuntimeConfig got = RuntimeConfig::from_env();
+  for (const auto& [name, value] : saved) ::setenv(name.c_str(), value.c_str(), 1);
+  const RuntimeConfig want{};
+  EXPECT_EQ(got.mc_samples, want.mc_samples);
+  EXPECT_EQ(got.epoch_scale, want.epoch_scale);
+  EXPECT_EQ(got.train_cap, want.train_cap);
+  EXPECT_EQ(got.test_cap, want.test_cap);
+}
+
+// ---------- parser mutation harness ----------
+
+TEST(KeyValueConfig, MutatedCorporaParseOrThrowTyped) {
+  // Truncated, bit-flipped and inflated copies of valid configs: each mutant
+  // either parses and checks cleanly or throws a typed runtime_error /
+  // invalid_argument. Anything else (another exception type, a crash under
+  // the sanitizer build) fails.
+  std::ifstream in(std::string(CN_SOURCE_DIR) + "/examples/fault_campaign.cfg");
+  ASSERT_TRUE(in) << "examples/fault_campaign.cfg not found";
+  std::stringstream campaign;
+  campaign << in.rdbuf();
+  const std::string serving =
+      "models = alpha, beta\nchips = 3\nworkers = 2\nmax_batch = 8\n"
+      "queue_limit = 32\nqueue_budget_us = 5000\nslo_p99_ms = 12.5\n"
+      "drill.kind = stuck_at\ndrill.severity = 0.05\ndrill.workers = 0, 1\n"
+      "drill.action = evict\n";
+  struct Corpus {
+    const char* name;
+    std::string text;
+    bool serving;
+  };
+  const Corpus corpora[] = {{"fault_campaign.cfg", campaign.str(), false},
+                            {"serving", serving, true}};
+  std::mt19937_64 rng(16);
+  int parsed = 0, rejected = 0;
+  for (const Corpus& c : corpora) {
+    for (int i = 0; i < 300; ++i) {
+      const auto kind = static_cast<testutil::Mutation>(i % 3);
+      const std::string m = testutil::mutate(c.text, kind, rng);
+      try {
+        KeyValueConfig cfg = KeyValueConfig::from_string(m);
+        if (c.serving)
+          (void)runtime::serving_from_config(cfg);
+        else
+          cfg.check(faultsim::campaign_knobs());
+        ++parsed;
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << c.name << " mutant " << i << " threw an untyped "
+                      << "error (" << e.what() << "): " << testutil::printable(m);
+      }
+    }
+  }
+  // Both outcomes occur, so the harness exercises the parser and its checks.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

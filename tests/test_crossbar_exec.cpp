@@ -2,8 +2,7 @@
 // device-level substrate and the fast factor-injection path, and the
 // per-execution-target parity of the batched matmul path vs the per-column
 // matvec loop across every periphery configuration and fault model: every
-// bit-exact target must match bit for bit, the int8 target must stay inside
-// its pinned tolerances.
+// target must match bit for bit.
 #include "analog/crossbar_layers.h"
 
 #include <algorithm>
@@ -35,7 +34,7 @@ RramDeviceParams ideal() {
   return dev;
 }
 
-// For every registered bit-exact target this host can execute, builds an
+// For every registered target this host can execute, builds an
 // array from (dev, faults) explicitly on that target and asserts
 // y == matvec row by row for matmul and matmul_cols on a random batch. Each
 // target's array is programmed from a freshly re-seeded rng, so all targets
@@ -60,7 +59,7 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
     for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
   int targets_run = 0;
   for (const exec::Target* t : exec::registered_targets()) {
-    if (!t->bit_exact() || !t->available()) continue;
+    if (!t->available()) continue;
     ++targets_run;
     Rng prog(seed + 1);
     CrossbarArray xbar(w, dev, prog, /*tile=*/8, faults, nullptr,
@@ -209,62 +208,6 @@ TEST(CrossbarExec, ForcedSimdDispatchLevelsAreBitIdentical) {
   EXPECT_EQ(exec::find_target("simd-avx512f")->available(), host_has_avx512f());
 }
 
-// Max |y_int8 - y_ref| over the batch, relative to max |y_ref|, between an
-// int8-target array and its own scalar float matvec (identical
-// conductances).
-double int8_max_rel_err(const RramDeviceParams& dev, uint64_t seed) {
-  constexpr int64_t kIn = 23, kOut = 11, kBatch = 6;
-  Rng rng(seed);
-  Tensor w({kOut, kIn});
-  rng.fill_normal(w, 0.0f, 0.5f);
-  Tensor x({kBatch, kIn});
-  rng.fill_normal(x, 0.0f, 1.0f);
-  Rng prog(seed + 1);
-  CrossbarArray xbar(w, dev, prog, /*tile=*/8, nullptr, nullptr,
-                     &exec::get_target("int8"));
-  const Tensor y = xbar.matmul(x);
-  double max_err = 0.0, max_ref = 0.0;
-  Tensor xi({kIn});
-  for (int64_t n = 0; n < kBatch; ++n) {
-    std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
-    const Tensor yi = xbar.matvec(xi);
-    for (int64_t o = 0; o < kOut; ++o) {
-      max_err = std::max(max_err,
-                         std::abs(static_cast<double>(y[n * kOut + o]) - yi[o]));
-      max_ref = std::max(max_ref, std::abs(static_cast<double>(yi[o])));
-    }
-  }
-  EXPECT_GT(max_ref, 0.0);
-  return max_err / max_ref;
-}
-
-TEST(CrossbarExec, Int8TargetStaysInsidePinnedTolerances) {
-  // The int8 target is approximate by design; what is pinned is how
-  // approximate. The bounds below are ~2x the worst error measured across
-  // these seeds (see docs/ARCHITECTURE.md for the analytic bound) — a
-  // regression that widens int8 quantization error trips them.
-  RramDeviceParams plain = ideal();
-  plain.program_sigma = 0.2f;
-  double worst_plain = 0.0;
-  for (uint64_t seed : {600u, 610u, 620u, 630u})
-    worst_plain = std::max(worst_plain, int8_max_rel_err(plain, seed));
-  EXPECT_GT(worst_plain, 0.0);    // quantization genuinely engages
-  EXPECT_LE(worst_plain, 0.02);   // pinned: 2% of the output range
-
-  // With the full periphery stack (levels + DAC + ADC) the int8 delta can
-  // push a borderline current across an ADC bucket edge, so the bound is
-  // wider than the raw quantization error.
-  RramDeviceParams full = ideal();
-  full.program_sigma = 0.15f;
-  full.conductance_levels = 16;
-  full.readout.adc_bits = 8;
-  full.readout.dac_bits = 6;
-  double worst_full = 0.0;
-  for (uint64_t seed : {700u, 710u, 720u, 730u})
-    worst_full = std::max(worst_full, int8_max_rel_err(full, seed));
-  EXPECT_LE(worst_full, 0.07);    // pinned: 7% (worst measured 3.4%)
-}
-
 TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
   // Parity of the paths under noise is pinned above; here: a read key
   // reproduces its output, and a different seed changes it.
@@ -318,7 +261,7 @@ Tensor conv_input(const ConvCase& cc, uint64_t seed, int64_t batch = 2) {
   return x;
 }
 
-// For every bit-exact target this host can execute: a CrossbarConv2D's
+// For every target this host can execute: a CrossbarConv2D's
 // batched forward (pixel lanes, bitline-major readout) must equal its own
 // per-column matvec forward bit for bit, with and without the ReLU epilogue,
 // quiet and with read noise keyed by a read seed. `tile` below K2 and out_c
@@ -334,7 +277,7 @@ void expect_conv_paths_bit_identical(const ConvCase& cc, const RramDeviceParams&
   RramDeviceParams noisy = dev;
   noisy.readout.read_sigma = 0.1f;
   for (const exec::Target* t : exec::registered_targets()) {
-    if (!t->bit_exact() || !t->available()) continue;
+    if (!t->available()) continue;
     ++targets_run;
     for (const bool keyed : {false, true}) {
       Rng prog(seed + 2);
@@ -435,12 +378,6 @@ TEST(CrossbarConvParity, PostPoolFusionMatchesTheUnfusedPlan) {
   }
 }
 
-// Digital-agreement tolerance: loose enough for the ambient target's int8
-// quantization when the CI matrix forces CORRECTNET_TARGET=int8.
-float ambient_tol(float exact_tol) {
-  return exec::default_target().bit_exact() ? exact_tol : 0.05f;
-}
-
 TEST(CrossbarDense, IdealMatchesDigitalLayer) {
   Rng rng(1);
   nn::Dense d(6, 4, "fc");
@@ -453,7 +390,7 @@ TEST(CrossbarDense, IdealMatchesDigitalLayer) {
   Tensor y_ref = d.forward(x, false);
   Tensor y_xbar = xd.forward(x, false);
   for (int64_t i = 0; i < y_ref.size(); ++i)
-    EXPECT_NEAR(y_xbar[i], y_ref[i], ambient_tol(1e-3f));
+    EXPECT_NEAR(y_xbar[i], y_ref[i], 1e-3f);
 }
 
 TEST(CrossbarConv2D, IdealMatchesDigitalLayer) {
@@ -469,7 +406,7 @@ TEST(CrossbarConv2D, IdealMatchesDigitalLayer) {
   Tensor y_xbar = xc.forward(x, false);
   ASSERT_EQ(y_ref.shape(), y_xbar.shape());
   for (int64_t i = 0; i < y_ref.size(); ++i)
-    EXPECT_NEAR(y_xbar[i], y_ref[i], ambient_tol(2e-3f));
+    EXPECT_NEAR(y_xbar[i], y_ref[i], 2e-3f);
 }
 
 TEST(CrossbarLayers, BackwardThrows) {
@@ -496,9 +433,8 @@ TEST(ProgramToCrossbars, WholeModelIdealAccuracyMatches) {
   nn::Sequential xm = program_to_crossbars(m, ideal(), prog);
   const float acc_ref = core::evaluate(m, ds.test);
   const float acc_xbar = core::evaluate(xm, ds.test, /*batch=*/20);
-  // Bit-exact targets flip no logits on the ideal device; an approximate
-  // ambient target (int8 CI leg) may flip a borderline sample or two.
-  EXPECT_NEAR(acc_xbar, acc_ref, ambient_tol(1e-6f));
+  // Every target is bit-exact, so the ideal device flips no logits.
+  EXPECT_NEAR(acc_xbar, acc_ref, 1e-6f);
 }
 
 TEST(ProgramToCrossbars, VariationDegradesLikeFactorModel) {

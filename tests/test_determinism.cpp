@@ -1,9 +1,7 @@
-// Run-to-run determinism, promoted into tier-1 from bench_faultsim's
-// asserts (bench binaries don't run under ctest): a repeated campaign and a
-// repeated ChipFarm Monte-Carlo must reproduce byte-identical results —
-// every per-chip accuracy sample and the emitted JSON report — and a
-// repeated training run on the multi-threaded pool must reproduce every
-// weight bit for bit. Untrained models keep the evaluation cases fast;
+// Run-to-run determinism: a repeated campaign and a repeated ChipFarm
+// Monte-Carlo must reproduce byte-identical results — every per-chip
+// accuracy sample and the emitted JSON report — and a repeated training run
+// on the multi-threaded pool must reproduce every weight bit for bit. Untrained models keep the evaluation cases fast;
 // determinism does not care about accuracy.
 #include <cstring>
 #include <string>

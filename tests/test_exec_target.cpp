@@ -1,8 +1,7 @@
 // The execution-target registry: builtin registrations, lookup and default
 // semantics, registration invariants, the lowering seam (a registered custom
 // target actually executes the batched path), target selection through the
-// campaign config / ChipFarm layers, the int8 lowering envelope, and the
-// symmetric int8 quantizer it builds on.
+// campaign config / ChipFarm layers.
 #include "exec/target.h"
 
 #include <cmath>
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "analog/crossbar.h"
-#include "analog/quant.h"
 #include "core/config.h"
 #include "exec_testutil.h"
 #include "faultsim/campaign.h"
@@ -43,7 +41,7 @@ analog::RramDeviceParams quiet_dev() {
 
 TEST(ExecRegistry, BuiltinsAreRegistered) {
   for (const char* name :
-       {"simd", "simd-generic", "simd-avx2", "simd-avx512f", "int8"}) {
+       {"simd", "simd-generic", "simd-avx2", "simd-avx512f"}) {
     const exec::Target* t = exec::find_target(name);
     ASSERT_NE(t, nullptr) << name;
     EXPECT_EQ(t->name(), name);
@@ -51,17 +49,11 @@ TEST(ExecRegistry, BuiltinsAreRegistered) {
   }
   // Registration order: builtins first, the default family leading.
   auto all = exec::registered_targets();
-  ASSERT_GE(all.size(), 5u);
+  ASSERT_GE(all.size(), 4u);
   EXPECT_EQ(all[0]->name(), "simd");
   // The portable members are executable everywhere.
   EXPECT_TRUE(exec::find_target("simd")->available());
   EXPECT_TRUE(exec::find_target("simd-generic")->available());
-  EXPECT_TRUE(exec::find_target("int8")->available());
-  // Exactness self-description: the float targets honor the bit-exactness
-  // contract, int8 is declared approximate.
-  EXPECT_TRUE(exec::find_target("simd")->bit_exact());
-  EXPECT_TRUE(exec::find_target("simd-generic")->bit_exact());
-  EXPECT_FALSE(exec::find_target("int8")->bit_exact());
 }
 
 TEST(ExecRegistry, UnknownLookupsFailTheRightWay) {
@@ -87,7 +79,8 @@ TEST(ExecRegistry, DefaultTargetPrecedenceAndReset) {
 }
 
 // A minimal target for registration tests: lowers every tile to a TileExec
-// that writes zero currents.
+// that writes zero currents. It breaks the bit-exactness contract on purpose,
+// so a test can see which target an array executed through.
 class NullExec : public exec::TileExec {
  public:
   explicit NullExec(int64_t cols) : cols_(cols) {}
@@ -108,7 +101,6 @@ class NullTarget : public exec::Target {
   std::string name() const override { return name_; }
   std::string description() const override { return "writes zero currents"; }
   bool available() const override { return true; }
-  bool bit_exact() const override { return false; }
   std::unique_ptr<exec::TileExec> lower(const exec::TileView& t) const override {
     return std::make_unique<NullExec>(t.cols);
   }
@@ -152,25 +144,6 @@ TEST(ExecRegistry, RegisteredTargetDrivesTheBatchedPath) {
   EXPECT_GT(mass, 0.0);
 }
 
-TEST(ExecRegistry, Int8LoweringRejectsTilesBeyondAccumulatorRange) {
-  // 2^31 / 127^2 rows is where the int32 accumulator could overflow; the
-  // int8 target must refuse to lower such a tile instead of wrapping.
-  constexpr int64_t kRows = (int64_t{1} << 31) / (127 * 127) + 1;
-  Rng rng(93);
-  Tensor w({1, kRows});
-  rng.fill_normal(w, 0.0f, 0.5f);
-  Rng prog(94);
-  EXPECT_THROW(analog::CrossbarArray(w, quiet_dev(), prog, /*tile=*/1 << 18,
-                                     nullptr, nullptr,
-                                     &exec::get_target("int8")),
-               std::runtime_error);
-  // The same shape lowers fine on the default float targets.
-  Rng prog2(94);
-  analog::CrossbarArray ok(w, quiet_dev(), prog2, /*tile=*/1 << 18, nullptr,
-                           nullptr, &exec::get_target("simd"));
-  EXPECT_EQ(ok.num_tiles(), 1);
-}
-
 TEST(ExecConfig, CampaignValidatesTargetKey) {
   // A typo'd target fails at campaign construction, before any training or
   // evaluation happens.
@@ -181,11 +154,11 @@ TEST(ExecConfig, CampaignValidatesTargetKey) {
   auto good = core::KeyValueConfig::from_string(
       "stuck.rates = 0.01\ntarget = simd-generic\n");
   faultsim::Campaign c = faultsim::campaign_from_config(good);
-  EXPECT_EQ(c.target(), "simd-generic");
+  EXPECT_EQ(c.options().target, "simd-generic");
   // And a key set that never mentions target leaves it to the process
   // default (empty string in the options).
   auto none = core::KeyValueConfig::from_string("stuck.rates = 0.01\n");
-  EXPECT_EQ(faultsim::campaign_from_config(none).target(), "");
+  EXPECT_EQ(faultsim::campaign_from_config(none).options().target, "");
 }
 
 TEST(ExecFarm, CrossbarFarmResolvesTargetAndFactorFarmRejectsIt) {
@@ -214,32 +187,6 @@ TEST(ExecFarm, CrossbarFarmResolvesTargetAndFactorFarmRejectsIt) {
   ff.instances = 2;
   runtime::ChipFarm factor(m, vm, ff);
   EXPECT_EQ(factor.target_name(), "");
-}
-
-TEST(Int8Quant, SymmetricQuantizerRoundTripsWithinHalfStep) {
-  const float x[] = {0.8f, -0.3f, 0.05f, -1.27f, 0.0f, 0.64f};
-  constexpr int64_t n = 6;
-  int8_t q[n];
-  const float scale = analog::quantize_symmetric_int8(x, n, 1, q);
-  ASSERT_GT(scale, 0.0f);
-  EXPECT_FLOAT_EQ(scale, 1.27f / 127.0f);
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_GE(q[i], -127);  // -128 stays unused: symmetric range
-    EXPECT_LE(q[i], 127);
-    EXPECT_LE(std::abs(q[i] * scale - x[i]), scale / 2 + 1e-7f) << i;
-  }
-  // Strided reads quantize the same logical vector.
-  float strided[2 * n];
-  for (int64_t i = 0; i < n; ++i) strided[2 * i] = x[i];
-  int8_t qs[n];
-  const float s2 = analog::quantize_symmetric_int8(strided, n, 2, qs);
-  EXPECT_EQ(s2, scale);
-  for (int64_t i = 0; i < n; ++i) EXPECT_EQ(qs[i], q[i]);
-  // The all-zero span: scale 0, all codes 0 (callers short-circuit on it).
-  const float zeros[3] = {0.0f, 0.0f, 0.0f};
-  int8_t qz[3] = {1, 2, 3};
-  EXPECT_EQ(analog::quantize_symmetric_int8(zeros, 3, 1, qz), 0.0f);
-  for (int64_t i = 0; i < 3; ++i) EXPECT_EQ(qz[i], 0);
 }
 
 }  // namespace

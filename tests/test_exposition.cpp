@@ -10,6 +10,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -33,6 +34,7 @@
 #include "data/synthetic.h"
 #include "faultsim/campaign.h"
 #include "models/lenet.h"
+#include "mutation_testutil.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
@@ -500,19 +502,33 @@ TEST(ExpositionServer, RoutesAndReadiness) {
   srv.stop();  // idempotent
 }
 
+// A raw client socket connected to 127.0.0.1:port (-1 on failure), with a
+// client-side receive timeout so no test read can hang on the server.
+int connect_local(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(ExpositionServer, IdleClientCannotHoldHealthz) {
   // One acceptor thread serves every request; a client that connects and
   // sends nothing is dropped after the read deadline instead of blocking
   // /healthz behind it for as long as it stays open.
   obs::ExpositionServer srv;
   srv.set_ready(true);
-  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int idle = connect_local(srv.port());
   ASSERT_GE(idle, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(srv.port()));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   auto probe = std::async(std::launch::async, [&] {
     return obs::http_get_local(srv.port(), "/healthz");
   });
@@ -522,6 +538,70 @@ TEST(ExpositionServer, IdleClientCannotHoldHealthz) {
   ::close(idle);  // releases a server without a deadline, so no hang either way
   ASSERT_TRUE(answered) << "/healthz blocked behind an idle connection";
   EXPECT_EQ(http_status(probe.get()), 200);
+}
+
+TEST(ExpositionServer, DripClientCannotHoldHealthz) {
+  // The read deadline counts from accept, not from the last byte received:
+  // a client dripping one byte every ~300 ms, never a newline, is answered
+  // and dropped once it passes, so /healthz behind it still answers in time.
+  obs::ExpositionServer srv;
+  srv.set_ready(true);
+  const int drip = connect_local(srv.port());
+  ASSERT_GE(drip, 0);
+  ASSERT_EQ(::send(drip, "G", 1, MSG_NOSIGNAL), 1);
+  std::atomic<bool> stop{false};
+  std::thread dripper([&] {
+    while (!stop.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      if (::send(drip, "E", 1, MSG_NOSIGNAL) != 1) return;  // server hung up
+    }
+  });
+  auto probe = std::async(std::launch::async, [&] {
+    return obs::http_get_local(srv.port(), "/healthz");
+  });
+  const bool answered =
+      probe.wait_for(obs::kRequestReadDeadline + std::chrono::seconds(1)) ==
+      std::future_status::ready;
+  stop.store(true);
+  dripper.join();
+  ::close(drip);  // releases a server without a deadline, so no hang either way
+  ASSERT_TRUE(answered) << "/healthz blocked behind a dripping connection";
+  EXPECT_EQ(http_status(probe.get()), 200);
+}
+
+TEST(ExpositionServer, MutatedRequestLinesAreAnsweredAndHealthzSurvives) {
+  // Truncated, bit-flipped and inflated request lines: each connection gets
+  // an HTTP answer (the client half-closes after sending, so a line without
+  // a newline is answered at once), and the server keeps serving.
+  obs::ExpositionServer srv;
+  srv.set_ready(true);
+  const std::string corpus[] = {
+      "GET /healthz HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n",
+      "GET /metrics?name=x HTTP/1.0\r\n\r\n",
+      "GET /statusz HTTP/1.1\r\nUser-Agent: probe\r\n\r\n",
+  };
+  std::mt19937_64 rng(16);
+  for (int i = 0; i < 90; ++i) {
+    const std::string m = testutil::mutate(
+        corpus[i % 3], static_cast<testutil::Mutation>(i / 3 % 3), rng);
+    const int fd = connect_local(srv.port());
+    ASSERT_GE(fd, 0) << "mutant " << i;
+    size_t off = 0;
+    while (off < m.size()) {
+      const ssize_t n = ::send(fd, m.data() + off, m.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+    std::string resp;
+    char buf[4096];
+    for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;)
+      resp.append(buf, static_cast<size_t>(n));
+    ::close(fd);
+    EXPECT_EQ(resp.rfind("HTTP/1.0 ", 0), 0u)
+        << "mutant " << i << " got no answer: " << testutil::printable(m);
+  }
+  EXPECT_EQ(http_status(obs::http_get_local(srv.port(), "/healthz")), 200);
 }
 
 TEST(ExpositionServer, StatuszSectionsComeAndGo) {

@@ -329,9 +329,7 @@ TEST(FusionParity, RandomizedDigitalGraphSweep) {
 
 TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
   // Crossbar lowering pools a crossbar conv's output as it is written
-  // (post-pool), so fused vs unfused on a chip is bitwise for every target
-  // — including the approximate int8 one, which is merely the same
-  // approximation on both sides.
+  // (post-pool), so fused vs unfused on a chip is bitwise for every target.
   FusionGuard guard;
   analog::RramDeviceParams dev;
   dev.g_min = 1e-6f;
@@ -361,8 +359,8 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
       crossbar_post_pools += plan.stats().post_pools_fused;
     }
   }
-  // simd, simd-generic and int8 are always executable.
-  EXPECT_GE(targets_run, 6);
+  // simd and simd-generic are always executable, at two seeds each.
+  EXPECT_GE(targets_run, 4);
   // The sweep exercised the crossbar post-pool write-out.
   EXPECT_GT(crossbar_post_pools, 0);
 
