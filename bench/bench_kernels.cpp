@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the compute kernels underneath the
 // experiments: matmul, conv2d forward/backward, im2col, crossbar MVM, the
-// batched crossbar matmul on every registered execution target, the
+// batched crossbar matmul on every execution target, the
 // conv-shaped crossbar legs, and Monte-Carlo perturbation sampling.
 //
 // Writes BENCH_kernels.json (see bench::BenchJson): GFLOP/s of the
@@ -102,8 +102,7 @@ void BM_CrossbarMatvec(benchmark::State& state) {
 BENCHMARK(BM_CrossbarMatvec)->Arg(128)->Arg(512);
 
 // The batched crossbar matmul on one explicit execution target; registered
-// per target in main (targets are enumerated from the registry at startup,
-// so a new register_target call grows the bench without edits here).
+// per available row of the target table in main.
 void BM_CrossbarMatmulTarget(benchmark::State& state, const exec::Target* t) {
   const int64_t n = state.range(0), batch = 32;
   Rng rng(7);
@@ -192,7 +191,7 @@ class GflopsCapture : public benchmark::ConsoleReporter {
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the per-target crossbar legs are
-// registered dynamically from the execution-target registry, and the
+// registered from the execution-target table, and the
 // crossbar legs' GFLOP/s is written to BENCH_kernels.json.
 int main(int argc, char** argv) {
   for (const cn::exec::Target* t : cn::exec::registered_targets()) {

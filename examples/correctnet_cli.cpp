@@ -8,7 +8,7 @@
 // and compensated networks on the crossbar substrate — and writes a JSON
 // CampaignReport. Its scenario grid comes from a key=value config file (see
 // examples/fault_campaign.cfg); a built-in quick grid is used when --config
-// is omitted. `--list-targets` prints the execution-target registry and
+// is omitted. `--list-targets` prints the execution-target table and
 // `--version` the build identity line.
 //
 // Every flag is a core::Knob row (frontend_knobs.h); a bad flag prints the

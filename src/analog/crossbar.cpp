@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "exec/target.h"
 #include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/threadpool.h"
@@ -46,25 +45,14 @@ CrossbarTile::CrossbarTile(const Tensor& w, float w_absmax, const RramDevicePara
   if (!defer_lowering) lower();
 }
 
-// Out-of-line so exec::TileExec stays an incomplete type in the header.
-CrossbarTile::CrossbarTile(CrossbarTile&&) noexcept = default;
-CrossbarTile& CrossbarTile::operator=(CrossbarTile&&) noexcept = default;
-CrossbarTile::~CrossbarTile() = default;
-
 void CrossbarTile::lower() {
-  exec::TileView view;
-  view.g_pos = g_pos_.data();
-  view.g_neg = g_neg_.data();
-  view.rows = rows_;
-  view.cols = cols_;
-  view.g_min = dev_.g_min;
-  view.g_max = dev_.g_max;
-  exec_ = target_->lower(view);
+  exec_ = exec::TileExec(g_pos_.data(), g_neg_.data(), rows_, cols_,
+                         target_->level());
   // Per-target lowering volume (tiles and conductance bytes consumed). The
   // name lookup is mutex-guarded, so skip it entirely when gated off — this
   // runs per tile per chip build.
   if (obs::metrics().enabled()) {
-    const std::string prefix = "exec." + std::string(target_->name());
+    const std::string prefix = "exec." + target_->name();
     obs::metrics().counter(prefix + ".tiles").add(1);
     obs::metrics().counter(prefix + ".bytes")
         .add(static_cast<uint64_t>(rows_) * static_cast<uint64_t>(cols_) * 2 *
@@ -187,20 +175,20 @@ void CrossbarTile::accumulate_rows(const float* x, int64_t nitems,
                                    exec::Scratch& scratch) const {
   // Item-blocking width never changes results (items accumulate
   // independently), only register/cache pressure.
-  const int64_t block = exec_->row_block(x_item_stride == 1);
+  const int64_t block = exec_.row_block(x_item_stride == 1);
   if (cur.size() < static_cast<size_t>(block * cols_))
     cur.resize(static_cast<size_t>(block * cols_));
   for (int64_t done = 0; done < nitems; done += block) {
     const int64_t rb = std::min(block, nitems - done);
     const float* xb = x + done * x_item_stride;
     if (y_bitline_major) {
-      exec_->currents(xb, rb, x_item_stride, x_word_stride, cur.data(), 1, rb,
-                      scratch);
+      exec_.currents(xb, rb, x_item_stride, x_word_stride, cur.data(), 1, rb,
+                     scratch);
       finish_block(cur.data(), rb, y + done, ldy, reads, done);
       continue;
     }
-    exec_->currents(xb, rb, x_item_stride, x_word_stride, cur.data(), cols_, 1,
-                    scratch);
+    exec_.currents(xb, rb, x_item_stride, x_word_stride, cur.data(), cols_, 1,
+                   scratch);
     for (int64_t i = 0; i < rb; ++i)
       finish_row(cur.data() + i * cols_, y + (done + i) * ldy, reads, done + i);
   }

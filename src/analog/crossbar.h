@@ -13,22 +13,16 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "analog/quant.h"
 #include "analog/variation.h"
+#include "exec/target.h"
 #include "remap/remap.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
-
-namespace cn::exec {
-class Target;
-class TileExec;
-struct Scratch;
-}  // namespace cn::exec
 
 namespace cn::analog {
 
@@ -152,10 +146,6 @@ class CrossbarTile {
   CrossbarTile(const Tensor& w, float w_absmax, const RramDeviceParams& dev, Rng& rng,
                bool defer_lowering = false, const exec::Target* target = nullptr);
 
-  CrossbarTile(CrossbarTile&&) noexcept;
-  CrossbarTile& operator=(CrossbarTile&&) noexcept;
-  ~CrossbarTile();
-
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
 
@@ -216,20 +206,19 @@ class CrossbarTile {
   void finish_block(float* cur, int64_t nitems, float* y, int64_t ldy,
                     const Reads& reads, int64_t item0) const;
 
-  /// (Re-)lowers the programmed conductances through the execution target
-  /// (after programming or fault injection): the target may precompute
-  /// whatever representation it executes from (e.g. padded double copies).
+  /// (Re-)builds the batched path's executable from the programmed
+  /// conductances at the target's ISA level (after programming or fault
+  /// injection).
   void lower();
 
   int64_t rows_, cols_;
   float scale_;                 // weight per Siemens
   RramDeviceParams dev_;
   std::vector<float> g_pos_, g_neg_;  // programmed conductances, row-major
-  const exec::Target* target_;  // registry-owned, process lifetime
-  // The lowered executable the batched path dispatches to. Borrows the g
-  // arrays' heap storage, which survives tile moves; any mutation of the
-  // arrays must re-lower.
-  std::unique_ptr<exec::TileExec> exec_;
+  const exec::Target* target_;  // a target-table row, process lifetime
+  // The batched path's executable: its own copy of the g arrays, so any
+  // mutation of the arrays must re-lower.
+  exec::TileExec exec_;
 };
 
 /// A weight matrix W (out, in) split into tiles of at most `tile` rows/cols,

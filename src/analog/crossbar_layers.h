@@ -11,7 +11,8 @@
 // tests/test_crossbar_exec.cpp and examples/crossbar_inspect.cpp).
 //
 // Both layers default to the batched execution path (CrossbarArray::matmul,
-// whole batches per tile pass); set_batched(false) restores the original
+// whole batches per tile pass, through the simd kernels at the ISA level of
+// the layer's exec::Target); set_batched(false) restores the original
 // per-column matvec loop, kept as the reference of the exact-equivalence
 // tests.
 //
@@ -40,8 +41,8 @@ class CrossbarDense final : public nn::Layer {
   /// `faults` (optional, non-owning) injects device faults at programming
   /// time (see analog::FaultModel), and active `remap` params run the
   /// fault-aware remapping controller over the injected defect maps.
-  /// `target` selects the execution target of the batched path (nullptr =
-  /// process default; see src/exec/target.h).
+  /// `target` pins the batched path's ISA level (nullptr = process default
+  /// target; see src/exec/target.h).
   CrossbarDense(const nn::Dense& src, const RramDeviceParams& dev, Rng& prog_rng,
                 int64_t tile = 128, const FaultList* faults = nullptr,
                 const remap::RemapParams* remap = nullptr,

@@ -1,11 +1,11 @@
-// The simd kernel family: register-blocked current kernels at three ISA
-// levels (generic / avx2 / avx512f), registered as execution targets. Each
-// level has two kernel shapes, picked by the input layout: bitline lanes for
-// row-major (dense) batches and pixel lanes for item-contiguous (im2col)
-// batches, whose tiles are often only a few bitlines wide.
+// The simd kernel family behind exec::TileExec: register-blocked current
+// kernels at three ISA levels (generic / avx2 / avx512f). Each level has two
+// kernel shapes, picked by the input layout: bitline lanes for row-major
+// (dense) batches and pixel lanes for item-contiguous (im2col) batches,
+// whose tiles are often only a few bitlines wide.
 //
-// Registrations: "simd" runs the widest level the host supports, and one
-// pinned target per level proves all variants bit-identical.
+// The "simd" target runs the widest level the host supports, and one pinned
+// target per level proves all variants bit-identical.
 //
 // This translation unit must stay contraction-free (see the avx attribute
 // and src/CMakeLists.txt): a fused multiply-add would round differently from
@@ -21,7 +21,6 @@
 #define CN_HAVE_X86_TARGETS 0
 #endif
 
-#include "exec/builtin.h"
 #include "exec/target.h"
 
 namespace cn::exec {
@@ -300,83 +299,6 @@ int detect_level() {
   return 0;
 }
 
-const char* level_name(int level) {
-  switch (level) {
-    case 1: return "avx2";
-    case 2: return "avx512f";
-    default: return "generic";
-  }
-}
-
-/// One lowered tile: padded double-precision conductance copies
-/// (float->double conversion is exact, so results match the scalar float
-/// path bit for bit while the hot loop skips per-element converts), executed
-/// at one ISA level fixed at lowering.
-class SimdTileExec final : public TileExec {
- public:
-  SimdTileExec(const TileView& t, int level)
-      : rows_(t.rows), cols_(t.cols), level_(level) {
-    const size_t n = static_cast<size_t>(rows_ * cols_);
-    gd_pos_.assign(n + 8, 0.0);
-    gd_neg_.assign(n + 8, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      gd_pos_[i] = static_cast<double>(t.g_pos[i]);
-      gd_neg_[i] = static_cast<double>(t.g_neg[i]);
-    }
-  }
-
-  int64_t row_block(bool item_contiguous) const override {
-    // Pixel lanes: a few lane blocks per call (64 is a multiple of every
-    // level's lane width). Bitline lanes: AVX-512's 32 registers hold an
-    // 8-item accumulator block; narrower ISAs spill past 4 items.
-    if (item_contiguous) return 64;
-    return level_ == 2 ? 8 : 4;
-  }
-
-  void currents(const float* x, int64_t nitems, int64_t xis, int64_t xws,
-                float* cur, int64_t cis, int64_t ccs,
-                Scratch& scratch) const override {
-    const LevelKernels& k = kLevels[level_];
-    if (xis == 1) {
-      pixel_lanes(k, gd_pos_.data(), gd_neg_.data(), rows_, cols_, x, nitems,
-                  xws, cur, cis, ccs, scratch);
-      return;
-    }
-    k.bitline[nitems - 1](gd_pos_.data(), gd_neg_.data(), rows_, cols_, x, xis,
-                          xws, cur, cis, ccs);
-  }
-
- private:
-  int64_t rows_, cols_;
-  int level_;
-  std::vector<double> gd_pos_, gd_neg_;
-};
-
-/// pinned_level < 0: the "simd" family target, lowered at max_level().
-class SimdTarget final : public Target {
- public:
-  explicit SimdTarget(int pinned_level) : pinned_(pinned_level) {}
-
-  std::string name() const override {
-    return pinned_ < 0 ? "simd" : std::string("simd-") + level_name(pinned_);
-  }
-  std::string description() const override {
-    if (pinned_ < 0)
-      return "register-blocked float kernels at the widest supported ISA "
-             "level (default)";
-    return std::string("register-blocked float kernels pinned to the ") +
-           level_name(pinned_) + " ISA level";
-  }
-  bool available() const override { return pinned_ <= simd::max_level(); }
-  std::unique_ptr<TileExec> lower(const TileView& tile) const override {
-    return std::make_unique<SimdTileExec>(
-        tile, pinned_ < 0 ? simd::max_level() : pinned_);
-  }
-
- private:
-  int pinned_;
-};
-
 }  // namespace
 
 namespace simd {
@@ -388,13 +310,29 @@ int max_level() {
 
 }  // namespace simd
 
-namespace detail {
-
-void append_simd_targets(std::vector<std::unique_ptr<Target>>& out) {
-  out.push_back(std::make_unique<SimdTarget>(-1));
-  for (int level = 0; level <= 2; ++level)
-    out.push_back(std::make_unique<SimdTarget>(level));
+TileExec::TileExec(const float* g_pos, const float* g_neg, int64_t rows,
+                   int64_t cols, int level)
+    : rows_(rows), cols_(cols), level_(level) {
+  const size_t n = static_cast<size_t>(rows_ * cols_);
+  gd_pos_.assign(n + 8, 0.0);
+  gd_neg_.assign(n + 8, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    gd_pos_[i] = static_cast<double>(g_pos[i]);
+    gd_neg_[i] = static_cast<double>(g_neg[i]);
+  }
 }
 
-}  // namespace detail
+void TileExec::currents(const float* x, int64_t nitems, int64_t xis,
+                        int64_t xws, float* cur, int64_t cis, int64_t ccs,
+                        Scratch& scratch) const {
+  const LevelKernels& k = kLevels[level_];
+  if (xis == 1) {
+    pixel_lanes(k, gd_pos_.data(), gd_neg_.data(), rows_, cols_, x, nitems,
+                xws, cur, cis, ccs, scratch);
+    return;
+  }
+  k.bitline[nitems - 1](gd_pos_.data(), gd_neg_.data(), rows_, cols_, x, xis,
+                        xws, cur, cis, ccs);
+}
+
 }  // namespace cn::exec

@@ -1,69 +1,51 @@
 #include "exec/target.h"
 
-#include <mutex>
+#include <atomic>
 #include <stdexcept>
-
-#include "exec/builtin.h"
 
 namespace cn::exec {
 namespace {
 
-struct Registry {
-  std::mutex mu;
-  std::vector<std::unique_ptr<Target>> targets;
-  const Target* builtin_default = nullptr;  // the "simd" family
-  const Target* env_default = nullptr;      // CORRECTNET_TARGET
-  const Target* override_default = nullptr; // set_default_target
-  bool initialized = false;
-};
-
-Registry& registry() {
-  static Registry r;
-  return r;
-}
-
-const Target* find_locked(const Registry& r, const std::string& name) {
-  for (const auto& t : r.targets)
-    if (t->name() == name) return t.get();
-  return nullptr;
-}
-
-std::string names_locked(const Registry& r) {
-  std::string s;
-  for (const auto& t : r.targets) {
-    if (!s.empty()) s += ", ";
-    s += t->name();
-  }
-  return s;
-}
-
-const Target& resolve_locked(const Registry& r, const std::string& name,
-                             const char* what) {
-  const Target* t = find_locked(r, name);
-  if (!t)
+const Target& resolve(const std::string& name, const char* what) {
+  const Target* t = find_target(name);
+  if (!t) {
+    std::string names;
+    for (const Target* r : registered_targets())
+      names += (names.empty() ? "" : ", ") + r->name();
     throw std::runtime_error(std::string(what) + ": unknown execution target '" +
-                             name + "' (registered: " + names_locked(r) + ")");
+                             name + "' (registered: " + names + ")");
+  }
   if (!t->available())
     throw std::runtime_error(std::string(what) + ": execution target '" + name +
                              "' is not available on this build/host");
   return *t;
 }
 
-// Builtins register lazily on first registry use rather than via static
-// registrar objects (see builtin.h). CORRECTNET_TARGET is validated here, so
-// a typo'd CI matrix value fails the first crossbar construction loudly
-// instead of silently running the default target.
-void ensure_init_locked(Registry& r) {
-  if (r.initialized) return;
-  r.initialized = true;
-  detail::append_simd_targets(r.targets);
-  r.builtin_default = find_locked(r, "simd");
-  const std::string env =
-      core::KeyValueConfig::from_env(knobs()).str("CORRECTNET_TARGET");
-  if (!env.empty()) r.env_default = &resolve_locked(r, env, "CORRECTNET_TARGET");
+// CORRECTNET_TARGET, resolved once. Validated by every get_target /
+// default_target / set_default_target call, so a typo'd CI matrix value
+// fails the first crossbar construction loudly instead of silently running
+// the default target.
+const Target& startup_default() {
+  static const Target& t = []() -> const Target& {
+    const std::string env =
+        core::KeyValueConfig::from_env(knobs()).str("CORRECTNET_TARGET");
+    return env.empty() ? *registered_targets().front()
+                       : resolve(env, "CORRECTNET_TARGET");
+  }();
+  return t;
 }
 
+std::atomic<const Target*> override_default{nullptr};  // set_default_target
+
 }  // namespace
+
+Target::Target(std::string name, std::string description, int pinned_level)
+    : name_(std::move(name)), description_(std::move(description)),
+      pinned_(pinned_level) {}
+
+bool Target::available() const { return pinned_ <= simd::max_level(); }
+
+int Target::level() const { return pinned_ < 0 ? simd::max_level() : pinned_; }
 
 const core::Knobs& knobs() {
   static const core::Knobs rows = {
@@ -71,65 +53,49 @@ const core::Knobs& knobs() {
   return rows;
 }
 
-const Target* register_target(std::unique_ptr<Target> target) {
-  if (!target) throw std::invalid_argument("register_target: null target");
-  const std::string name = target->name();
-  if (name.empty()) throw std::invalid_argument("register_target: empty name");
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  ensure_init_locked(r);
-  if (find_locked(r, name))
-    throw std::invalid_argument("register_target: duplicate execution target '" +
-                                name + "'");
-  r.targets.push_back(std::move(target));
-  return r.targets.back().get();
+const std::vector<const Target*>& registered_targets() {
+  static const Target kTable[] = {
+      {"simd",
+       "register-blocked float kernels at the widest supported ISA level "
+       "(default)",
+       -1},
+      {"simd-generic",
+       "register-blocked float kernels pinned to the generic ISA level", 0},
+      {"simd-avx2", "register-blocked float kernels pinned to the avx2 ISA level",
+       1},
+      {"simd-avx512f",
+       "register-blocked float kernels pinned to the avx512f ISA level", 2},
+  };
+  static const std::vector<const Target*> rows = {&kTable[0], &kTable[1],
+                                                  &kTable[2], &kTable[3]};
+  return rows;
 }
 
 const Target* find_target(const std::string& name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  ensure_init_locked(r);
-  return find_locked(r, name);
+  for (const Target* t : registered_targets())
+    if (t->name() == name) return t;
+  return nullptr;
 }
 
 const Target& get_target(const std::string& name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  ensure_init_locked(r);
-  return resolve_locked(r, name, "get_target");
-}
-
-std::vector<const Target*> registered_targets() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  ensure_init_locked(r);
-  std::vector<const Target*> out;
-  out.reserve(r.targets.size());
-  for (const auto& t : r.targets) out.push_back(t.get());
-  return out;
+  startup_default();
+  return resolve(name, "get_target");
 }
 
 const Target& default_target() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  ensure_init_locked(r);
-  if (r.override_default) return *r.override_default;
-  if (r.env_default) return *r.env_default;
-  return *r.builtin_default;
+  const Target& startup = startup_default();
+  const Target* o = override_default.load();
+  return o ? *o : startup;
 }
 
 void set_default_target(const std::string& name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  ensure_init_locked(r);
-  r.override_default = &resolve_locked(r, name, "set_default_target");
+  startup_default();
+  override_default = &resolve(name, "set_default_target");
 }
 
 void reset_default_target() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  ensure_init_locked(r);
-  r.override_default = nullptr;
+  startup_default();
+  override_default = nullptr;
 }
 
 }  // namespace cn::exec

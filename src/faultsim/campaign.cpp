@@ -8,6 +8,7 @@
 
 #include "exec/target.h"
 #include "obs/exposition.h"
+#include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,31 +17,6 @@
 #include "runtime/scheduler.h"
 
 namespace cn::faultsim {
-
-namespace {
-
-// Number formatting matching bench::BenchJson (%.6g, ordered keys).
-std::string json_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 int64_t CampaignReport::total_catastrophic() const {
   int64_t n = 0;
@@ -99,16 +75,16 @@ std::string CampaignReport::to_json() const {
   j += "  \"name\": \"faultsim_campaign\",\n";
   j += "  \"chips\": " + std::to_string(chips) + ",\n";
   j += "  \"seed\": " + std::to_string(seed) + ",\n";
-  j += "  \"catastrophic_below\": " + json_num(catastrophic_below) + ",\n";
+  j += "  \"catastrophic_below\": " + obs::json_num(catastrophic_below) + ",\n";
   j += "  \"total_catastrophic\": " + std::to_string(total_catastrophic()) + ",\n";
   j += "  \"total_absorbed\": " + std::to_string(total_absorbed()) + ",\n";
-  j += "  \"wall_s\": " + json_num(wall_s) + ",\n";
+  j += "  \"wall_s\": " + obs::json_num(wall_s) + ",\n";
   j += "  \"scenarios\": [\n";
   for (size_t i = 0; i < scenarios.size(); ++i) {
     const ScenarioResult& s = scenarios[i];
-    j += "    {\"fault\": \"" + json_escaped(s.fault_kind) + "\"";
-    j += ", \"severity\": " + json_num(s.severity);
-    j += ", \"model\": \"" + json_escaped(s.model_name) + "\"";
+    j += "    {\"fault\": \"" + obs::json_escaped(s.fault_kind) + "\"";
+    j += ", \"severity\": " + obs::json_num(s.severity);
+    j += ", \"model\": \"" + obs::json_escaped(s.model_name) + "\"";
     j += std::string(", \"compensation\": ") + (s.compensation ? "true" : "false");
     j += std::string(", \"remap\": ") + (s.remapped ? "true" : "false");
     if (s.remapped) {
@@ -116,15 +92,15 @@ std::string CampaignReport::to_json() const {
       j += ", \"absorbed\": " + std::to_string(s.absorbed);
       j += ", \"residual\": " + std::to_string(s.residual);
     }
-    j += ", \"mean\": " + json_num(s.acc.mean);
-    j += ", \"stddev\": " + json_num(s.acc.stddev);
-    j += ", \"min\": " + json_num(s.acc.min);
-    j += ", \"max\": " + json_num(s.acc.max);
+    j += ", \"mean\": " + obs::json_num(s.acc.mean);
+    j += ", \"stddev\": " + obs::json_num(s.acc.stddev);
+    j += ", \"min\": " + obs::json_num(s.acc.min);
+    j += ", \"max\": " + obs::json_num(s.acc.max);
     j += ", \"catastrophic\": " + std::to_string(s.catastrophic);
     j += ", \"samples\": [";
     for (size_t k = 0; k < s.acc.samples.size(); ++k) {
       if (k) j += ", ";
-      j += json_num(s.acc.samples[k]);
+      j += obs::json_num(s.acc.samples[k]);
     }
     j += "]}";
     if (i + 1 < scenarios.size()) j += ",";
@@ -255,7 +231,7 @@ CampaignReport Campaign::run(const data::Dataset& test) {
         obs::Tracer::global().enabled();
     std::string label;
     if (want_label) {
-      label = "scenario " + spec.kind + "@" + json_num(spec.severity) + " x " +
+      label = "scenario " + spec.kind + "@" + obs::json_num(spec.severity) + " x " +
               me.name +
               (opts_.remap.enabled
                    ? (cell.remap_on ? " x remap" : " x no-remap")

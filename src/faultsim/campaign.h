@@ -52,7 +52,7 @@ struct CampaignOptions {
   int64_t parallel_scenarios = 0;
   double catastrophic_below = 0.2;  // accuracy counted as catastrophic failure
   // Execution target every scenario's crossbar farms lower with, validated
-  // against the exec registry by the Campaign ctor. Empty = process default.
+  // against the exec target table by the Campaign ctor. Empty = process default.
   // Every target is bit-exact, so it never changes a report.
   std::string target;
   analog::RramDeviceParams dev;     // baseline device every scenario starts from

@@ -45,15 +45,18 @@ std::string ChipFarm::target_name() const {
   return target_ ? target_->name() : exec::default_target().name();
 }
 
+int64_t ChipFarm::live_slots(const ChipFarmOptions& opts) {
+  const int64_t live =
+      opts.max_live > 0
+          ? opts.max_live
+          : std::max<int64_t>(1, ThreadPool::global().size());
+  return std::min(live, opts.instances);
+}
+
 void ChipFarm::init_slots() {
   if (opts_.instances < 1)
     throw std::invalid_argument("ChipFarm: need at least one instance");
-  int64_t live = opts_.max_live;
-  if (live <= 0)
-    live = std::min<int64_t>(opts_.instances,
-                             std::max<int64_t>(1, ThreadPool::global().size()));
-  live = std::min(live, opts_.instances);
-  slots_.resize(static_cast<size_t>(live));
+  slots_.resize(static_cast<size_t>(live_slots(opts_)));
   if (crossbar_ && opts_.remap.active()) {
     remap_stats_.resize(static_cast<size_t>(opts_.instances));
     remap_stats_known_.assign(static_cast<size_t>(opts_.instances), 0);

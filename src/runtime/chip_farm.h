@@ -45,7 +45,7 @@ struct ChipFarmOptions {
   int64_t tile = 128;      // crossbar mode: tile edge length
   remap::RemapParams remap;  // crossbar mode: fault-aware remapping (default off)
   // Crossbar mode: execution target of the batched path, resolved against
-  // the exec registry at farm construction (fails fast on a typo). Empty =
+  // the exec target table at farm construction (fails fast on a typo). Empty =
   // process default (exec::default_target()). Factor farms execute
   // digitally and reject a non-empty value.
   std::string target;
@@ -65,6 +65,9 @@ class ChipFarm {
 
   int64_t num_chips() const { return opts_.instances; }
   int64_t num_live() const { return static_cast<int64_t>(slots_.size()); }
+  /// The physical slots a farm built with `opts` keeps live: max_live, or
+  /// min(instances, pool size) when max_live <= 0, capped at instances.
+  static int64_t live_slots(const ChipFarmOptions& opts);
   /// Analog sites of the base model (the Fig. 9 sweep extent).
   int64_t num_analog_sites() { return static_cast<int64_t>(base_.analog_sites().size()); }
   bool crossbar_mode() const { return crossbar_; }
@@ -134,7 +137,7 @@ class ChipFarm {
   analog::RramDeviceParams dev_;
   analog::FaultList faults_;  // crossbar mode only; empty = fault-free
   bool crossbar_ = false;
-  // Resolved opts_.target (registry-owned); nullptr = process default,
+  // Resolved opts_.target (a target-table row); nullptr = process default,
   // re-read at every populate so CLI-level set_default_target applies.
   const exec::Target* target_ = nullptr;
   ChipFarmOptions opts_;

@@ -171,9 +171,14 @@ InferenceServer::~InferenceServer() {
 }
 
 double InferenceServer::estimate_wait_us(int64_t depth) const {
-  const double per_req = ewma_req_us_.load(std::memory_order_relaxed);
-  const int active = std::max(1, count_active_workers());
-  return static_cast<double>(depth) * per_req / static_cast<double>(active);
+  const double active = std::max(1, count_active_workers());
+  const double full = ewma_full_batch_us_.load(std::memory_order_relaxed);
+  if (full > 0) {
+    const int64_t batches = (depth + opts_.max_batch - 1) / opts_.max_batch;
+    return static_cast<double>(batches) * full / active;
+  }
+  return static_cast<double>(depth) *
+         ewma_req_us_.load(std::memory_order_relaxed) / active;
 }
 
 int InferenceServer::count_active_workers() const {
@@ -184,10 +189,11 @@ int InferenceServer::count_active_workers() const {
 }
 
 const char* InferenceServer::admission_reject_reason(int64_t depth,
+                                                     bool recovering,
                                                      double* est_out) const {
   *est_out = 0;
-  if (opts_.queue_limit > 0 && depth >= opts_.queue_limit)
-    return "queue limit";
+  const int64_t limit = recovering ? opts_.queue_limit / 2 + 1 : opts_.queue_limit;
+  if (opts_.queue_limit > 0 && depth >= limit) return "queue limit";
   if (opts_.queue_budget_us > 0) {
     *est_out = estimate_wait_us(depth);
     if (*est_out > static_cast<double>(opts_.queue_budget_us))
@@ -218,12 +224,12 @@ std::future<Tensor> InferenceServer::submit(Tensor input) {
     // a typed Overloaded — instead of growing the queue.
     const int64_t depth = static_cast<int64_t>(queue_.size());
     double est = 0;
-    if (const char* reason = admission_reject_reason(depth, &est)) {
+    if (const char* reason =
+            admission_reject_reason(depth, /*recovering=*/false, &est)) {
       accepting_.store(false, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> slk(stats_mu_);
         stats_.rejected += 1;
-        stats_.accepting = false;
       }
       m_rejected_.add(1);
       req.promise.set_exception(std::make_exception_ptr(
@@ -303,24 +309,12 @@ void InferenceServer::worker_loop(int worker) {
       }
       m_queue_depth_.set(static_cast<double>(queue_.size()));
       // Admission recovery on drain: once the queue is back under half its
-      // limit and inside the wait budget, start accepting again.
-      if (!accepting_.load(std::memory_order_relaxed)) {
-        const int64_t depth = static_cast<int64_t>(queue_.size());
-        bool recovered = true;
-        if (opts_.queue_limit > 0 && depth > opts_.queue_limit / 2)
-          recovered = false;
-        if (recovered && opts_.queue_budget_us > 0 &&
-            estimate_wait_us(depth) > static_cast<double>(opts_.queue_budget_us))
-          recovered = false;
-        if (recovered && opts_.admission_burn_max > 0 && slo_ &&
-            slo_->status().burn_rate > opts_.admission_burn_max)
-          recovered = false;
-        if (recovered) {
-          accepting_.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> slk(stats_mu_);
-          stats_.accepting = true;
-        }
-      }
+      // limit and inside the other gates, start accepting again.
+      double est = 0;
+      if (!accepting_.load(std::memory_order_relaxed) &&
+          !admission_reject_reason(static_cast<int64_t>(queue_.size()),
+                                   /*recovering=*/true, &est))
+        accepting_.store(true, std::memory_order_relaxed);
     }
     // More work may remain (e.g. during drain); let a sibling grab it while
     // this worker runs the forward pass.
@@ -351,14 +345,18 @@ void InferenceServer::run_batch(nn::Sequential& chip, std::vector<Request>& batc
     }
   }
   const auto done = std::chrono::steady_clock::now();
-  // Per-request service-time EWMA feeding the admission wait estimate
-  // (0.7/0.3 blend; first sample seeds it).
-  const double svc_us =
-      std::chrono::duration<double, std::micro>(done - started).count() /
-      static_cast<double>(b);
-  const double prev = ewma_req_us_.load(std::memory_order_relaxed);
-  ewma_req_us_.store(prev == 0 ? svc_us : 0.7 * prev + 0.3 * svc_us,
-                     std::memory_order_relaxed);
+  // Service-time EWMAs feeding the admission wait estimate (0.7/0.3 blend;
+  // first sample seeds each): per request over every batch, and per batch
+  // over full ones.
+  const double batch_us =
+      std::chrono::duration<double, std::micro>(done - started).count();
+  auto blend = [](std::atomic<double>& ewma, double sample) {
+    const double prev = ewma.load(std::memory_order_relaxed);
+    ewma.store(prev == 0 ? sample : 0.7 * prev + 0.3 * sample,
+               std::memory_order_relaxed);
+  };
+  blend(ewma_req_us_, batch_us / static_cast<double>(b));
+  if (b >= opts_.max_batch) blend(ewma_full_batch_us_, batch_us);
   // Record stats before resolving the promises: a client that has seen its
   // future complete must also see itself counted.
   {

@@ -58,8 +58,10 @@ struct InferenceServerOptions {
   // Admission control. All three gates default off; any non-zero value
   // arms admission and registers a /healthz probe reflecting accepting().
   //  - queue_limit: reject once the queue holds this many requests
-  //  - queue_budget_us: reject once estimated queue wait (depth x EWMA
-  //    per-request service time / active workers) exceeds this budget
+  //  - queue_budget_us: reject once the estimated queue wait exceeds this
+  //    budget: ceil(depth / max_batch) full batches x the EWMA full-batch
+  //    service time / active workers (before the first full batch: depth x
+  //    the EWMA per-request service time / active workers)
   //  - admission_burn_max: reject while the SLO burn rate exceeds this
   //    (requires an SLO objective; the tracker turns from a read-out into
   //    a control input). Burn is read from the last computed window —
@@ -211,12 +213,15 @@ class InferenceServer {
 
   void worker_loop(int worker);
   void run_batch(nn::Sequential& chip, std::vector<Request>& batch);
-  // Estimated queue wait for `depth` queued requests, from the EWMA
-  // per-request service time and the active worker count.
+  // Estimated queue wait for `depth` queued requests (the formula is in
+  // the queue_budget_us comment above).
   double estimate_wait_us(int64_t depth) const;
   // The admission decision for the current queue state; returns the gate
-  // that fired (nullptr = admit). Caller holds mu_.
-  const char* admission_reject_reason(int64_t depth, double* est_out) const;
+  // that fired (nullptr = admit). `recovering` is the hysteresis of a
+  // rejecting server: it re-admits only once the queue is back under half
+  // its limit (and inside the other gates). Caller holds mu_.
+  const char* admission_reject_reason(int64_t depth, bool recovering,
+                                      double* est_out) const;
   int count_active_workers() const;
 
   ChipFarm& farm_;
@@ -235,10 +240,12 @@ class InferenceServer {
   bool saw_submit_ = false;
 
   // Admission state. accepting_ is the /healthz probe input; the EWMA
-  // per-request service time feeds the queue-wait estimate (relaxed atomics:
-  // concurrent worker updates may interleave, fine for an estimate).
+  // service times (per request over every batch, per full batch) feed the
+  // queue-wait estimate (relaxed atomics: concurrent worker updates may
+  // interleave, fine for an estimate).
   std::atomic<bool> accepting_{true};
   std::atomic<double> ewma_req_us_{0};
+  std::atomic<double> ewma_full_batch_us_{0};  // 0 = no full batch yet
   int64_t max_queue_depth_ = 0;  // guarded by mu_
 
   // Drill state: one ctl per worker (unique_ptr: atomics don't move), plus

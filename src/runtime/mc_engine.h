@@ -10,7 +10,7 @@
 // Execution-target selection rides the farm (ChipFarmOptions::target /
 // exec::default_target()): the engine evaluates whatever target the farm's
 // crossbar chips were lowered with, and every target leaves the McResult
-// byte-identical by the registry's parity contract.
+// byte-identical by the targets' parity contract.
 #pragma once
 
 #include "core/montecarlo.h"

@@ -1,6 +1,5 @@
 #include "runtime/model_router.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -8,7 +7,6 @@
 #include "obs/exposition.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "tensor/threadpool.h"
 
 namespace cn::runtime {
 
@@ -41,13 +39,9 @@ ModelRouter::~ModelRouter() {
 }
 
 void ModelRouter::charge_budget(const std::string& id, ChipFarmOptions& fo) {
-  // Mirror ChipFarm::init_slots' resolution so the charge matches what the
-  // farm will actually keep live.
-  int64_t requested = fo.max_live;
-  if (requested <= 0)
-    requested = std::min<int64_t>(
-        fo.instances, std::max<int64_t>(1, ThreadPool::global().size()));
-  requested = std::min(requested, fo.instances);
+  // Charge what the farm will keep live; the clamped value becomes its
+  // max_live, so the farm keeps exactly the charge.
+  int64_t requested = ChipFarm::live_slots(fo);
   if (opts_.max_live_total > 0) {
     const int64_t remaining = opts_.max_live_total - live_slots_used_;
     if (remaining <= 0)
@@ -96,8 +90,6 @@ void ModelRouter::add_lane(
     throw;
   }
   std::lock_guard<std::mutex> lk(mu_);
-  // Settle the charge against what the farm actually kept live.
-  live_slots_used_ += lane.farm->num_live() - farm_opts.max_live;
   lanes_[id] = std::move(lane);
   obs::metrics().gauge("router.models").set(static_cast<double>(lanes_.size()));
   obs::metrics().gauge("router.live_slots").set(

@@ -65,6 +65,7 @@ struct JsonParser {
         ++p;
         return true;
       }
+      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
       if (c == '\\') {
         ++p;
         if (p >= s.size()) return false;
@@ -342,8 +343,12 @@ TEST(MetricsRegistry, SnapshotJsonIsWellFormed) {
   reg.gauge("snap.gauge").set(2.25);
   obs::LatencyHistogram& h = reg.histogram("snap.lat_us");
   for (int i = 1; i <= 100; ++i) h.record(i * 10.0);
+  // A serving model id with an inner tab passes labeled() (which rejects
+  // only the label syntax characters); the snapshot must still be JSON.
+  reg.counter(obs::labeled("snap.requests", "model", "a\tb")).add(1);
   const std::string j = reg.snapshot_json();
   EXPECT_TRUE(valid_json(j)) << j;
+  EXPECT_NE(j.find("model=a\\u0009b"), std::string::npos) << j;
   EXPECT_NE(j.find("\"name\": \"metrics\""), std::string::npos);
   EXPECT_NE(j.find("\"snap.count\": 7"), std::string::npos);
   EXPECT_NE(j.find("\"snap.lat_us.count\": 100"), std::string::npos);

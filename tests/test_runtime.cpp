@@ -605,6 +605,42 @@ TEST(Admission, QueueWaitBudgetRejectsTypedOverloadedAndBoundsTheTail) {
   const ServerStats st = server.stats();
   EXPECT_EQ(st.rejected, static_cast<uint64_t>(rejected));
   EXPECT_LE(st.p99_latency_us, 3.0 * static_cast<double>(so.queue_budget_us));
+  RecordProperty("rejected", rejected);
+  RecordProperty("admitted_p99_us", static_cast<int>(st.p99_latency_us));
+}
+
+TEST(Admission, WaitEstimateDrainsInFullBatches) {
+  // The queue is served in full batches, so once one has run the wait
+  // estimate is ceil(depth / max_batch) full-batch service times: every
+  // partial-batch depth estimates the same one batch, not depth x a
+  // per-request time. The worker pulls only on a full batch or a 10 s old
+  // request, so the held depths are exact; shutdown() serves them.
+  auto& f = fixture();
+  analog::VariationModel vm{analog::VariationKind::kNone, 0.0f};
+  ChipFarmOptions fo;
+  fo.instances = 1;
+  fo.max_live = 1;
+  ChipFarm farm(f.model, vm, fo);
+  InferenceServerOptions so;
+  so.max_batch = 8;
+  so.max_wait_us = 10000000;
+  so.workers = 1;
+  InferenceServer server(farm, so);
+  std::vector<std::future<Tensor>> futs;
+  for (int i = 0; i < 8; ++i) futs.push_back(server.submit(f.ds.test.image(i)));
+  for (auto& fut : futs) fut.get();
+  ASSERT_EQ(server.stats().full_batches, 1u);
+
+  futs.clear();
+  futs.push_back(server.submit(f.ds.test.image(0)));
+  const double one_batch = server.stats().est_wait_us;
+  EXPECT_GT(one_batch, 0.0);
+  for (int i = 1; i < 7; ++i) futs.push_back(server.submit(f.ds.test.image(i)));
+  const ServerStats held = server.stats();
+  EXPECT_EQ(held.queue_depth, 7);
+  EXPECT_EQ(held.est_wait_us, one_batch);
+  server.shutdown();
+  for (auto& fut : futs) fut.get();
 }
 
 TEST(Admission, BurnGateRequiresSloObjective) {
