@@ -1,14 +1,14 @@
-// bench_fusion: the layer-graph fusion perf floor.
+// bench_fusion: the fused eval plan's perf floor.
 //
 // Trains a LeNet5-Digits model briefly, then times core::evaluate over the
 // test set with the fusion knob forced off vs on. Timed reps interleave the
 // two sides, so clock drift hits both equally, and each side keeps its
 // fastest of 15 multi-eval samples: a ~60 ms sample is easily hit by a
 // neighbour's burst, and a handful of them let one such burst decide the
-// ratio. Every rewrite that engages (relu epilogues, both pools into the
-// conv epilogues, dropout elision, the flatten reshape) is bitwise-exact by
-// contract, asserted on sampled images. `fusion_speedup` gates the bench:
-// the pass pipeline exists to win wall-clock, so below 1.15x fails. Never
+// ratio. Every fold that engages (relu epilogues, both pools into the conv
+// epilogues, the flatten reshape) is bitwise-exact by contract, asserted on
+// sampled images. `fusion_speedup` gates the bench: the fused plan exists
+// to win wall-clock, so below 1.15x fails. Never
 // run it concurrently with other jobs; a contended box skews the ratio.
 //
 // Takes no flags. Writes BENCH_fusion.json (see bench::BenchJson); exits 1

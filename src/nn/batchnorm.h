@@ -20,9 +20,6 @@ class BatchNorm2D final : public Layer {
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::unique_ptr<Layer> clone() const override;
   std::string kind() const override { return "batchnorm2d"; }
-  /// Train mode uses batch statistics and updates the running stats — folding
-  /// a train-mode BN into its producer would bake stale statistics in.
-  bool train_mode_sensitive() const override { return true; }
 
   Param& gamma() { return gamma_; }
   Param& beta() { return beta_; }

@@ -58,19 +58,17 @@ Tensor Conv2D::forward(const Tensor& x, bool train) {
       x.dim(3) != geom_.in_w)
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
   if (train) x_cache_ = x;
-  return forward_fused(x, /*pre_pool=*/nullptr, /*relu=*/false);
+  return forward_fused(x, /*relu=*/false);
 }
 
 Tensor Conv2D::forward_relu(const Tensor& x) {
-  return forward_fused(x, /*pre_pool=*/nullptr, /*relu=*/true);
+  return forward_fused(x, /*relu=*/true);
 }
 
-Tensor Conv2D::forward_fused(const Tensor& x, const PrePool* pre_pool, bool relu,
-                             const PrePool* post_pool) {
-  const int64_t win = pre_pool ? pre_pool->window : 1;
+Tensor Conv2D::forward_fused(const Tensor& x, bool relu, const PrePool* post_pool) {
   const int64_t N = x.dim(0);
-  if (x.rank() != 4 || x.dim(1) != geom_.in_c || x.dim(2) != geom_.in_h * win ||
-      x.dim(3) != geom_.in_w * win)
+  if (x.rank() != 4 || x.dim(1) != geom_.in_c || x.dim(2) != geom_.in_h ||
+      x.dim(3) != geom_.in_w)
     throw std::invalid_argument(label_ + ": bad input shape " + to_string(x.shape()));
 
   const int64_t OH = geom_.out_h(), OW = geom_.out_w();
@@ -79,8 +77,7 @@ Tensor Conv2D::forward_fused(const Tensor& x, const PrePool* pre_pool, bool relu
     throw std::logic_error(label_ + ": post-pool window does not divide conv output");
   const int64_t POH = OH / pwin, POW = OW / pwin;
   const int64_t K2 = geom_.in_c * geom_.k_h * geom_.k_w;
-  const int64_t img_pooled = geom_.in_c * geom_.in_h * geom_.in_w;
-  const int64_t img_in = pre_pool ? img_pooled * win * win : img_pooled;
+  const int64_t img_in = geom_.in_c * geom_.in_h * geom_.in_w;
   const int64_t img_conv = out_c_ * OH * OW;
   const int64_t img_out = out_c_ * POH * POW;
   // live_weight() refreshes the effective weight so nominal-weight edits
@@ -91,18 +88,10 @@ Tensor Conv2D::forward_fused(const Tensor& x, const PrePool* pre_pool, bool relu
 
   parallel_for(0, N, [&](int64_t lo, int64_t hi) {
     std::vector<float> cols(static_cast<size_t>(K2 * OH * OW));
-    std::vector<float> staged;
-    if (pre_pool) staged.resize(static_cast<size_t>(img_pooled));
     std::vector<float> full;  // per-image conv output when a post-pool runs
     if (post_pool) full.resize(static_cast<size_t>(img_conv));
     for (int64_t n = lo; n < hi; ++n) {
-      const float* img = x.data() + n * img_in;
-      if (pre_pool) {
-        pool_image(img, *pre_pool, geom_.in_c, geom_.in_h, geom_.in_w,
-                   staged.data());
-        img = staged.data();
-      }
-      im2col(img, geom_, cols.data());
+      im2col(x.data() + n * img_in, geom_, cols.data());
       float* out = post_pool ? full.data() : y.data() + n * img_out;
       // out(out_c, OH*OW) = W(out_c, K2) * cols(K2, OH*OW)
       const int64_t M = out_c_, Kd = K2, Nd = OH * OW;

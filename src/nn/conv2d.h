@@ -8,8 +8,8 @@ namespace cn::nn {
 
 /// Pools one image (C, OH*win, OW*win) -> (C, OH, OW) into `out`, with
 /// arithmetic identical to MaxPool2D / AvgPool2D forward (same accumulation
-/// order, same 1/(win*win) factor) — what keeps every fused pooling stage
-/// (pre-pool, post-pool, the crossbar conv's post-pool) bitwise-exact.
+/// order, same 1/(win*win) factor) — what keeps the fused post-pool of both
+/// the digital and the crossbar conv bitwise-exact.
 void pool_image(const float* img, const PrePool& p, int64_t C, int64_t OH,
                 int64_t OW, float* out);
 
@@ -27,16 +27,16 @@ class Conv2D final : public Layer, public PerturbableWeight {
   Tensor forward_relu(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  /// Eval/exec kernel over the live weight and bias, with an optional fused
-  /// pre-pool stage, branchless ReLU epilogue, and optional post-pool stage
-  /// (the conv's output is pooled per image from a scratch buffer before it
-  /// is written back, so the full-resolution feature map is never
-  /// materialized; the ReLU epilogue, when requested, applies before
-  /// pooling, matching the conv→relu→pool graph order). forward() routes
-  /// through this, so the fused and unfused paths share one accumulation
-  /// order (the exactness contract). A post-pool window must divide the conv
-  /// output exactly (the fusion pass guarantees it).
-  Tensor forward_fused(const Tensor& x, const PrePool* pre_pool, bool relu,
+  /// Eval/exec kernel over the live weight and bias, with an optional
+  /// branchless ReLU epilogue and optional post-pool stage (the conv's
+  /// output is pooled per image from a scratch buffer before it is written
+  /// back, so the full-resolution feature map is never materialized; the
+  /// ReLU epilogue, when requested, applies before pooling, matching the
+  /// conv→relu→pool layer order). forward() routes through this, so the
+  /// fused and unfused paths share one accumulation order (the exactness
+  /// contract). A post-pool window must divide the conv output exactly
+  /// (accepts_post_pool, which the fused plan checks).
+  Tensor forward_fused(const Tensor& x, bool relu,
                        const PrePool* post_pool = nullptr);
 
   bool accepts_post_pool(const PrePool& pool) const override {
@@ -44,7 +44,7 @@ class Conv2D final : public Layer, public PerturbableWeight {
            out_w() % pool.window == 0;
   }
   Tensor forward_pooled(const Tensor& x, bool relu, const PrePool& pool) override {
-    return forward_fused(x, /*pre_pool=*/nullptr, relu, &pool);
+    return forward_fused(x, relu, &pool);
   }
 
   std::vector<Param*> params() override { return {&w_, &b_}; }

@@ -15,8 +15,6 @@ class Dropout final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> clone() const override;
   std::string kind() const override { return "dropout"; }
-  /// Train mode draws a random mask; eval is the identity.
-  bool train_mode_sensitive() const override { return true; }
 
   float rate() const { return p_; }
 

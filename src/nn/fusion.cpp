@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "nn/activations.h"
 #include "nn/pooling.h"
 #include "obs/metrics.h"
 
@@ -63,164 +64,82 @@ void reset_fusion_enabled() {
 }
 
 // ---------------------------------------------------------------------------
-// Passes. The chain is linear (one producer, one consumer per node), so a
-// node's effective producer is found by walking through skipped nodes.
+// Plan construction and execution.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-GraphNode* live_producer(LayerGraph& g, const GraphNode& n) {
-  const GraphNode* cur = &n;
-  while (!cur->producers.empty()) {
-    GraphNode* p = &g.nodes[static_cast<size_t>(cur->producers.front())];
-    if (!p->skip) return p;
-    cur = p;
-  }
-  return nullptr;
-}
-
-int64_t pass_elide_dropout(LayerGraph& g) {
-  int64_t n = 0;
-  for (GraphNode& node : g.nodes) {
-    if (node.op != OpKind::kDropout || node.skip) continue;
-    node.skip = true;
-    ++n;
-  }
-  return n;
-}
-
 // Reads a pool layer's window/kind into a PrePool; window 0 = not a pool.
-PrePool pool_params(const GraphNode& node) {
+PrePool pool_params(Layer& l) {
   PrePool pp;
-  if (auto* mp = dynamic_cast<MaxPool2D*>(node.layer)) {
+  if (auto* mp = dynamic_cast<MaxPool2D*>(&l)) {
     pp.kind = PrePool::Kind::kMax;
     pp.window = mp->window();
-  } else if (auto* ap = dynamic_cast<AvgPool2D*>(node.layer)) {
+  } else if (auto* ap = dynamic_cast<AvgPool2D*>(&l)) {
     pp.kind = PrePool::Kind::kAvg;
     pp.window = ap->window();
   }
   return pp;
 }
 
-// Pool consuming a conv's output — digital or crossbar (any layer whose
-// accepts_post_pool agrees), directly or through skipped relu/dropout
-// nodes — pools as that conv writes its output. Runs
-// before pass_fuse_pool so the upstream conv — whose full-resolution output
-// the rewrite elides — wins over the downstream one.
-int64_t pass_fuse_post_pool(LayerGraph& g) {
-  int64_t n = 0;
-  for (GraphNode& node : g.nodes) {
-    if ((node.op != OpKind::kMaxPool && node.op != OpKind::kAvgPool) ||
-        node.skip)
-      continue;
-    GraphNode* p = live_producer(g, node);
-    if (!p || p->post_pool.window > 0) continue;
-    const PrePool pp = pool_params(node);
-    if (pp.window <= 0 || !p->layer->accepts_post_pool(pp)) continue;
-    p->post_pool = pp;
-    node.skip = true;
-    ++n;
-  }
-  return n;
-}
-
-int64_t pass_fuse_pool(LayerGraph& g) {
-  int64_t n = 0;
-  for (GraphNode& node : g.nodes) {
-    if (node.op != OpKind::kConv2D || node.skip) continue;
-    if (node.pre_pool.window > 0) continue;
-    auto* conv = dynamic_cast<Conv2D*>(node.layer);
-    if (!conv) continue;
-    GraphNode* p = live_producer(g, node);
-    if (!p || (p->op != OpKind::kMaxPool && p->op != OpKind::kAvgPool)) continue;
-    const PrePool pp = pool_params(*p);
-    if (pp.window <= 0) continue;
-    node.pre_pool = pp;
-    p->skip = true;
-    ++n;
-  }
-  return n;
-}
-
-int64_t pass_fuse_relu(LayerGraph& g) {
-  int64_t n = 0;
-  for (GraphNode& node : g.nodes) {
-    if (node.op != OpKind::kReLU || node.skip) continue;
-    GraphNode* p = live_producer(g, node);
-    if (!p || p->relu_epilogue) continue;
-    const bool matmul_bearing =
-        p->op == OpKind::kConv2D || p->op == OpKind::kDense ||
-        p->op == OpKind::kCrossbarConv2D || p->op == OpKind::kCrossbarDense;
-    if (!matmul_bearing) continue;
-    p->relu_epilogue = true;
-    node.skip = true;
-    ++n;
-  }
-  return n;
+Tensor run_step(const Step& s, const Tensor& x) {
+  if (s.post_pool.window > 0)
+    return s.layer->forward_pooled(x, s.relu, s.post_pool);
+  if (s.relu) return s.layer->forward_relu(x);
+  return s.layer->forward(x, /*train=*/false);
 }
 
 }  // namespace
 
-FusionStats run_fusion_passes(LayerGraph& g) {
-  FusionStats s;
-  s.dropout_elided = pass_elide_dropout(g);
-  s.relu_fused = pass_fuse_relu(g);
-  s.post_pools_fused = pass_fuse_post_pool(g);
-  s.pools_fused = pass_fuse_pool(g);
-  auto& m = obs::metrics();
-  m.counter("fusion.dropout_elided").add(static_cast<uint64_t>(s.dropout_elided));
-  m.counter("fusion.pools_fused").add(static_cast<uint64_t>(s.pools_fused));
-  m.counter("fusion.post_pools_fused")
-      .add(static_cast<uint64_t>(s.post_pools_fused));
-  m.counter("fusion.relu_fused").add(static_cast<uint64_t>(s.relu_fused));
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// Executor.
-// ---------------------------------------------------------------------------
-
-FusedPlan::FusedPlan(Sequential& model)
-    : graph_(LayerGraph::build(model, /*train=*/false)) {
-  stats_ = run_fusion_passes(graph_);
-  obs::metrics().counter("fusion.plans").add(1);
-}
-
-Tensor FusedPlan::run_node(GraphNode& n, const Tensor& x) {
-  if (n.op == OpKind::kConv2D) {
-    if (auto* conv = dynamic_cast<Conv2D*>(n.layer)) {
-      const PrePool* pp = n.pre_pool.window > 0 ? &n.pre_pool : nullptr;
-      const PrePool* post = n.post_pool.window > 0 ? &n.post_pool : nullptr;
-      return conv->forward_fused(x, pp, n.relu_epilogue, post);
+FusedPlan::FusedPlan(Sequential& model) {
+  for (int64_t i = 0; i < model.num_layers(); ++i) {
+    Layer& l = model.layer(i);
+    Step* prev = steps_.empty() ? nullptr : &steps_.back();
+    // Folding into a step that already pools would reorder the pool ahead
+    // of the folded op, so only an unpooled step absorbs its successor.
+    if (prev && prev->post_pool.window == 0) {
+      if (dynamic_cast<ReLU*>(&l) && !prev->relu && prev->layer->is_analog()) {
+        prev->relu = true;
+        ++stats_.relu_fused;
+        continue;
+      }
+      const PrePool pool = pool_params(l);
+      if (pool.window > 0 && prev->layer->accepts_post_pool(pool)) {
+        prev->post_pool = pool;
+        ++stats_.post_pools_fused;
+        continue;
+      }
     }
+    Step s;
+    s.layer = &l;
+    s.reshape = prev && dynamic_cast<Flatten*>(&l);
+    steps_.push_back(s);
   }
-  if (n.post_pool.window > 0)
-    return n.layer->forward_pooled(x, n.relu_epilogue, n.post_pool);
-  if (n.relu_epilogue) return n.layer->forward_relu(x);
-  return n.layer->forward(x, /*train=*/false);
+  auto& m = obs::metrics();
+  m.counter("fusion.relu_fused").add(static_cast<uint64_t>(stats_.relu_fused));
+  m.counter("fusion.post_pools_fused")
+      .add(static_cast<uint64_t>(stats_.post_pools_fused));
+  m.counter("fusion.plans").add(1);
 }
 
 Tensor FusedPlan::execute(const Tensor& x) {
+  // Empty model: identity, matching the plain layer loop.
+  if (steps_.empty()) return x;
   const Tensor* cur = &x;
   Tensor h;
-  bool ran = false;
-  for (GraphNode& n : graph_.nodes) {
-    if (n.skip) continue;
-    // Flatten over an intermediate the plan owns is pure metadata: reshape
-    // in place instead of Flatten::forward's deep copy. Bitwise-exact (the
-    // buffer is untouched). The graph-input case still copies — the caller's
-    // tensor must not be mutated.
-    if (n.op == OpKind::kFlatten && ran && h.rank() >= 1 && h.dim(0) > 0) {
+  for (const Step& s : steps_) {
+    // A flatten after the first step only ever sees an intermediate the
+    // plan owns: reshaping it is pure metadata, bitwise-exact. A flatten
+    // that is the first step still copies, since the caller's tensor must
+    // not be mutated.
+    if (s.reshape) {
       h.reshape({h.dim(0), h.size() / h.dim(0)});
       continue;
     }
-    Tensor out = run_node(n, *cur);
-    h = std::move(out);
+    h = run_step(s, *cur);
     cur = &h;
-    ran = true;
   }
-  // Empty or fully-elided graph: identity, matching the plain layer loop.
-  return ran ? std::move(h) : Tensor(x);
+  return h;
 }
 
 }  // namespace cn::nn

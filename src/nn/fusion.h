@@ -1,56 +1,43 @@
-// Fusion pass pipeline + fused graph executor over the layer-graph IR.
+// Fused eval-mode execution plan for a Sequential.
 //
-// Four passes rewrite the graph nn::LayerGraph builds from a Sequential, and
-// every one is EXACT — the fused plan's output is bitwise-identical to the
-// plain layer loop:
+// FusedPlan's constructor walks the model's layers once and folds them into
+// a linear list of steps. Every fold is EXACT — the plan's output is
+// bitwise-identical to the plain layer loop:
 //
-//   1. dropout-elide  dropout is the identity at eval; the node is dropped
-//                     (the standalone layer would deep-copy).
-//   2. relu-epilogue  relu following a matmul-bearing op (conv2d, dense,
-//                     crossbar_conv2d, crossbar_dense) becomes a branchless
-//                     max(0,·) in that op's bias epilogue.
-//   3. post-pool      max/avg pooling consuming a conv2d's or a
-//                     crossbar_conv2d's output (directly, or through an
-//                     already-fused relu) pools inside the conv's write-out
-//                     from a per-image scratch buffer — the full-resolution
-//                     feature map is never materialized. Guarded on the
-//                     window dividing the conv output
-//                     (Layer::accepts_post_pool); both convs pool with
-//                     nn::pool_image.
-//   4. pool-fuse      max/avg pooling feeding a conv2d moves into the conv's
-//                     im2col producer (per-image staging buffer, identical
-//                     pooling arithmetic). Mops up pools post-pool could not
-//                     claim (no digital conv upstream).
+//   relu       a ReLU after a step whose layer is_analog() (conv2d, dense,
+//              their crossbar twins, compensated_conv2d) and that has no
+//              post-pool runs inside that layer's Layer::forward_relu — a
+//              branchless max(0,·) in the bias epilogue, or the default
+//              in-place clamp — instead of as a deep-copying ReLU layer.
+//   post-pool  a max/avg pool after a step whose layer accepts_post_pool
+//              (conv2d, crossbar_conv2d; the window divides the output) and
+//              that has no post-pool yet pools inside that layer's write-out
+//              (Layer::forward_pooled), after its folded relu if any, so the
+//              full-resolution feature map is never materialized.
+//   reshape    a flatten after the first step reshapes the plan-owned
+//              intermediate in place instead of Flatten::forward's deep copy.
 //
-// Pass order matters and is fixed: dropout-elide → relu-epilogue →
-// post-pool → pool-fuse. A conv→relu→pool chain collapses into one kernel
-// because the pool's producer is resolved through the skipped relu node.
-// Post-pool runs before pool-fuse so a pool between two convs fuses into the
-// upstream conv (eliding its full-resolution output) rather than the
-// downstream one. BatchNorm2D always runs as its own node.
+// Everything else (batchnorm, dropout, a pool with no conv before it, a relu
+// after a post-pool) runs as its own step through Layer::forward.
 //
-// The executor adds one rewrite of its own: a flatten node whose input is an
-// intermediate the plan owns is an in-place reshape (pure metadata, zero
-// copy) instead of Flatten::forward's deep copy. EXACT.
-//
-// Per-pass rewrite counts land on the obs counters fusion.pools_fused,
-// fusion.post_pools_fused, fusion.relu_fused, fusion.dropout_elided, and
-// fusion.plans counts plan builds.
+// Fold counts land on the obs counters fusion.relu_fused and
+// fusion.post_pools_fused; fusion.plans counts plan builds.
 //
 // The process-wide knob: set_fusion_enabled() override > CORRECTNET_FUSION
 // env ("on"/"off"/"1"/"0", validated at first use) > default ON.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/config.h"
-#include "nn/graph.h"
+#include "nn/sequential.h"
 
 namespace cn::nn {
 
 /// True if Sequential::forward should execute eval passes through the fused
-/// graph plan. Override > CORRECTNET_FUSION env > default on. An invalid
-/// env value throws std::runtime_error at first use.
+/// plan. Override > CORRECTNET_FUSION env > default on. An invalid env value
+/// throws std::runtime_error at first use.
 bool fusion_enabled();
 /// Process-wide override (tests and benches comparing against the unfused
 /// reference).
@@ -61,38 +48,36 @@ void reset_fusion_enabled();
 const core::Knobs& fusion_knobs();
 
 struct FusionStats {
-  int64_t pools_fused = 0;       // pool-fuse (pool ahead of a conv's im2col)
-  int64_t post_pools_fused = 0;  // post-pool (pool inside a conv's epilogue)
+  int64_t post_pools_fused = 0;
   int64_t relu_fused = 0;
-  int64_t dropout_elided = 0;
-  int64_t rewrites() const {
-    return pools_fused + post_pools_fused + relu_fused + dropout_elided;
-  }
+  int64_t rewrites() const { return post_pools_fused + relu_fused; }
 };
 
-/// Runs the pass pipeline over a built graph, annotating nodes in place, and
-/// bumps the per-pass obs counters.
-FusionStats run_fusion_passes(LayerGraph& g);
+/// One executed layer with whatever its successors folded into it.
+struct Step {
+  Layer* layer = nullptr;
+  bool relu = false;     // a following ReLU runs in the layer's epilogue
+  PrePool post_pool;     // a following pool runs in its write-out (window 0 = none)
+  bool reshape = false;  // flatten: reshape the intermediate in place
+};
 
-/// A built+fused execution plan for one Sequential. Sequential::forward
-/// caches one lazily per instance (invalidated on structural edits); tests
-/// construct it directly to inspect the graph and stats.
+/// The fused plan for one Sequential. Holds raw Layer pointers into the
+/// model, so Sequential::forward caches one lazily per instance and drops it
+/// on structural edits; tests construct it directly to inspect the steps.
 class FusedPlan {
  public:
   explicit FusedPlan(Sequential& model);
 
-  /// Executes the annotated graph (eval mode). Weights are read live from
-  /// the layers on every call, so weight edits and variation factors between
-  /// forwards behave exactly like the unfused path.
+  /// Executes the steps (eval mode). Weights are read live from the layers
+  /// on every call, so weight edits and variation factors between forwards
+  /// behave exactly like the unfused path.
   Tensor execute(const Tensor& x);
 
-  const LayerGraph& graph() const { return graph_; }
+  const std::vector<Step>& steps() const { return steps_; }
   const FusionStats& stats() const { return stats_; }
 
  private:
-  Tensor run_node(GraphNode& n, const Tensor& x);
-
-  LayerGraph graph_;
+  std::vector<Step> steps_;
   FusionStats stats_;
 };
 

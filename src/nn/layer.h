@@ -41,11 +41,10 @@ class PerturbableWeight {
   virtual const std::string& site_label() const = 0;
 };
 
-/// A pooling stage fused into a neighbouring op by the layer-graph fusion
-/// passes (nn/fusion.h): ahead of a conv's im2col producer (pool-fuse) or on
-/// a conv's output as it is written (post-pool). Pooling arithmetic is
-/// identical to MaxPool2D / AvgPool2D (nn::pool_image), so both rewrites are
-/// bitwise-exact.
+/// A pooling stage folded into the preceding conv's write-out by the fused
+/// plan (nn/fusion.h): the conv pools each output image as it writes it
+/// (post-pool). Pooling arithmetic is identical to MaxPool2D / AvgPool2D
+/// (nn::pool_image), so the fold is bitwise-exact.
 struct PrePool {
   enum class Kind { kMax, kAvg };
   Kind kind = Kind::kAvg;
@@ -93,19 +92,13 @@ class Layer {
   /// True if the layer carries weights that would sit on an analog crossbar.
   virtual bool is_analog() const { return false; }
 
-  /// True if forward(x, train) behaves differently in train mode beyond
-  /// activation caching (dropout masks, batch-norm batch statistics). The
-  /// layer-graph IR builder (nn/graph.h) refuses to lower train-mode graphs
-  /// and uses this to name the layers that make the lowering unsound.
-  virtual bool train_mode_sensitive() const { return false; }
-
   /// Eval-mode forward with a ReLU epilogue fused into the output: returns
   /// max(0, forward(x, false)) without materializing the pre-activation as a
   /// separate tensor. The default clamps in place after forward — already
   /// exact and already cheaper than a standalone ReLU layer (which deep-copies
   /// its input); layers with a bias-add epilogue override to absorb the clamp
   /// into that loop. Overrides MUST stay bitwise-identical to the default
-  /// (the fusion-pass tolerance contract, docs/ARCHITECTURE.md).
+  /// (the fusion exactness contract, docs/ARCHITECTURE.md).
   virtual Tensor forward_relu(const Tensor& x) {
     Tensor y = forward(x, /*train=*/false);
     float* d = y.data();
@@ -115,8 +108,8 @@ class Layer {
   }
 
   /// Whether forward_pooled can apply `pool` to this layer's output (the
-  /// post-pool fusion pass asks before rewriting; the window must divide
-  /// the output exactly).
+  /// fused plan asks before folding a pool; the window must divide the
+  /// output exactly).
   virtual bool accepts_post_pool(const PrePool&) const { return false; }
 
   /// Eval-mode forward with `pool` applied as the output is written, after

@@ -16,7 +16,7 @@ class FusedPlan;  // nn/fusion.h
 /// perturbs analog sites by execution order, and the RL environment splices
 /// CompensatedConv2D wrappers in place of plain convolutions.
 ///
-/// Eval-mode forwards execute through a lazily-built fused graph plan
+/// Eval-mode forwards execute through a lazily-built fused plan
 /// (nn/fusion.h) when fusion_enabled(); structural edits (add /
 /// replace_layer) invalidate the cached plan. Train-mode forwards always run
 /// the plain layer loop.

@@ -1,9 +1,11 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace cn::nn {
 
@@ -66,12 +68,19 @@ void load_weights(Sequential& model, const std::string& path) {
   auto params = model.params();
   if (count != params.size())
     throw std::runtime_error("load_weights: param count mismatch");
+  // Parse the whole file into staged tensors before touching the model, so a
+  // file rejected part-way leaves every parameter as it was.
+  std::vector<Tensor> staged;
+  staged.reserve(params.size());
   for (Param* p : params) {
     uint32_t name_len = 0;
     read_pod(is, name_len);
     require_bytes(is, size, name_len, "name length");
     std::string name(name_len, '\0');
     is.read(name.data(), name_len);
+    if (!name.empty() && name != p->name)
+      throw std::runtime_error("load_weights: stored name '" + name +
+                               "' does not match parameter " + p->name);
     uint32_t rank = 0;
     read_pod(is, rank);
     require_bytes(is, size, uint64_t{rank} * sizeof(int64_t), "rank");
@@ -79,10 +88,16 @@ void load_weights(Sequential& model, const std::string& path) {
     for (auto& d : shape) read_pod(is, d);
     if (shape != p->value.shape())
       throw std::runtime_error("load_weights: shape mismatch for " + p->name);
-    is.read(reinterpret_cast<char*>(p->value.data()),
-            static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+    Tensor t(shape);
+    is.read(reinterpret_cast<char*>(t.data()),
+            static_cast<std::streamsize>(t.size() * sizeof(float)));
     if (!is) throw std::runtime_error("load_weights: truncated tensor data");
+    staged.push_back(std::move(t));
   }
+  if (static_cast<uint64_t>(is.tellg()) != size)
+    throw std::runtime_error("load_weights: trailing bytes after the last tensor");
+  for (size_t i = 0; i < params.size(); ++i)
+    std::copy_n(staged[i].data(), staged[i].size(), params[i]->value.data());
 }
 
 }  // namespace cn::nn

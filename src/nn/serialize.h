@@ -2,7 +2,8 @@
 //
 // Format: magic "CNWT", version, param count, then per param:
 // name length + name, rank, dims, raw float data. Parameters are matched by
-// order and shape, with names checked when present.
+// order and shape, with names checked when present (an empty stored name
+// matches any parameter).
 #pragma once
 
 #include <string>
@@ -14,7 +15,10 @@ namespace cn::nn {
 /// Writes all parameters of `model` to `path`. Throws std::runtime_error on IO failure.
 void save_weights(Sequential& model, const std::string& path);
 
-/// Loads parameters into `model` (shapes must match). Throws on mismatch/IO failure.
+/// Loads parameters into `model` (shapes must match). Throws
+/// std::runtime_error on a mismatch, IO failure, malformed or trailing bytes;
+/// the model is only written once the whole file has parsed, so a throw
+/// leaves it untouched.
 void load_weights(Sequential& model, const std::string& path);
 
 }  // namespace cn::nn

@@ -1,4 +1,4 @@
-// Randomized model generator for the graph-parity fusion harness
+// Randomized model generator for the fused-plan parity harness
 // (tests/test_fusion.cpp). Draws a small Sequential from the fusible op set —
 // conv blocks with optional leading pool, trailing batchnorm / relu /
 // dropout, then flatten and a dense head — with every weight drawn from the
@@ -49,8 +49,10 @@ inline RandomModel make_random_model(const RandomModelSpec& spec) {
 
   const int blocks = 1 + static_cast<int>(rng.uniform_int(2));  // 1..2
   for (int b = 0; b < blocks; ++b) {
-    // A pool in front of the conv exercises the pool-fuse pass; gated on
-    // divisibility and on leaving room for the 3x3 kernel below.
+    // A pool in front of the conv: after the previous block's conv (or its
+    // relu) it folds into that conv as a post-pool, otherwise it runs as its
+    // own step. Gated on divisibility and on leaving room for the 3x3
+    // kernel below.
     if (h % 2 == 0 && h / 2 >= 3 && rng.uniform() < 0.5) {
       if (rng.uniform() < 0.5)
         m.emplace<nn::MaxPool2D>(2, "pool" + std::to_string(b));

@@ -1,10 +1,9 @@
-// The layer-graph IR and fusion pass pipeline (nn/graph.h, nn/fusion.h):
-// per-pass unit oracles (relu-epilogue exactness, pool-fusion vs the
-// standalone layers, dropout elision), the process-wide knob contract,
-// train-mode lowering refusal, the randomized graph-parity sweep (fused vs
-// unfused, bitwise with and without batchnorm, on the digital path and on
-// crossbar chips across every registered execution target), and
-// campaign-report byte-identity with fusion forced on vs off.
+// The fused eval plan (nn/fusion.h): per-fold oracles (relu epilogue,
+// post-pool, flatten reshape, and the layers that stay their own steps), the
+// process-wide knob contract, the randomized parity sweep (fused vs unfused,
+// bitwise with and without batchnorm, on the digital path and on crossbar
+// chips across every execution target), the compensated CorrectNet chip,
+// and campaign-report byte-identity with fusion forced on vs off.
 #include "nn/fusion.h"
 
 #include <algorithm>
@@ -15,13 +14,13 @@
 #include <gtest/gtest.h>
 
 #include "analog/crossbar_layers.h"
+#include "core/compensation.h"
 #include "data/synthetic.h"
 #include "exec/target.h"
 #include "exec_testutil.h"
 #include "faultsim/campaign.h"
 #include "graph_testutil.h"
 #include "models/lenet.h"
-#include "nn/graph.h"
 #include "obs/metrics.h"
 
 namespace cn {
@@ -40,10 +39,11 @@ Tensor forward_with_fusion(nn::Sequential& m, const Tensor& x, bool fused) {
   return m.forward(x, /*train=*/false);
 }
 
-const nn::GraphNode* find_node(const nn::LayerGraph& g,
-                               const std::string& label) {
-  for (const nn::GraphNode& n : g.nodes)
-    if (n.layer && n.layer->label() == label) return &n;
+// The plan step executing the layer labelled `label` (nullptr when that
+// layer was folded into another step).
+const nn::Step* find_step(const nn::FusedPlan& plan, const std::string& label) {
+  for (const nn::Step& s : plan.steps())
+    if (s.layer->label() == label) return &s;
   return nullptr;
 }
 
@@ -70,46 +70,17 @@ TEST(FusionKnob, OverrideWinsAndResetRestoresAmbientDefault) {
   EXPECT_EQ(nn::fusion_enabled(), ambient_fusion());
 }
 
-// ---------- train-mode lowering ----------
+// ---------- plan construction ----------
 
-TEST(LayerGraphBuild, TrainModeLoweringThrowsNamingSensitiveLayers) {
-  nn::Sequential m("train");
-  m.emplace<nn::Conv2D>(1, 2, 3, 1, 1, 6, 6, "conv");
-  m.emplace<nn::BatchNorm2D>(2, 0.9f, 1e-5f, "bn0");
-  m.emplace<nn::Dropout>(0.5f, 7, "d0");
-  try {
-    nn::LayerGraph::build(m, /*train=*/true);
-    FAIL() << "train-mode lowering must throw";
-  } catch (const std::logic_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("bn0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("d0"), std::string::npos) << msg;
-  }
-  // Training graphs have no lowering even without sensitive layers.
-  nn::Sequential plain("plain");
-  plain.emplace<nn::Dense>(4, 2, "fc");
-  EXPECT_THROW(nn::LayerGraph::build(plain, /*train=*/true), std::logic_error);
-  // Eval-mode lowering of the same chains succeeds.
-  EXPECT_EQ(nn::LayerGraph::build(m).nodes.size(), 3u);
-  EXPECT_EQ(nn::LayerGraph::build(plain).nodes.size(), 1u);
-}
-
-TEST(LayerGraphBuild, LayersReportTrainModeSensitivity) {
-  nn::BatchNorm2D bn(2);
-  nn::Dropout dr(0.5f, 1);
-  nn::Conv2D conv(1, 1, 3, 1, 1, 6, 6);
-  nn::ReLU relu;
-  EXPECT_TRUE(bn.train_mode_sensitive());
-  EXPECT_TRUE(dr.train_mode_sensitive());
-  EXPECT_FALSE(conv.train_mode_sensitive());
-  EXPECT_FALSE(relu.train_mode_sensitive());
-}
-
-TEST(LayerGraphBuild, TrainForwardBypassesFusionEntirely) {
+TEST(FusionPlan, TrainForwardBypassesFusionEntirely) {
   // With fusion forced on, a train-mode forward must still run the plain
-  // layer loop (live dropout, batch statistics) and never try to lower.
+  // layer loop (live dropout, batch statistics) and never build a plan.
   FusionGuard guard;
   nn::set_fusion_enabled(true);
+  auto& reg = obs::metrics();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const uint64_t plans0 = reg.counter("fusion.plans").value();
   Rng rng(41);
   nn::Sequential m("train-fwd");
   auto& conv = m.emplace<nn::Conv2D>(1, 2, 3, 1, 1, 6, 6, "conv");
@@ -120,11 +91,11 @@ TEST(LayerGraphBuild, TrainForwardBypassesFusionEntirely) {
   rng.fill_normal(x, 0.0f, 1.0f);
   const Tensor y = m.forward(x, /*train=*/true);
   EXPECT_EQ(y.size(), 2 * 2 * 6 * 6);
+  EXPECT_EQ(reg.counter("fusion.plans").value(), plans0);
+  reg.set_enabled(was_enabled);
 }
 
-// ---------- per-pass oracles ----------
-
-TEST(FusionPasses, ReluEpilogueIsBitwiseExact) {
+TEST(FusionPlan, ReluFoldsIntoAnalogStepsAndFlattenReshapes) {
   FusionGuard guard;
   Rng rng(21);
   nn::Sequential m("relu");
@@ -132,7 +103,7 @@ TEST(FusionPasses, ReluEpilogueIsBitwiseExact) {
   rng.fill_normal(conv.weight().value, 0.0f, 0.4f);
   rng.fill_normal(conv.bias().value, 0.0f, 0.2f);
   m.emplace<nn::ReLU>("r1");
-  m.emplace<nn::Flatten>();
+  m.emplace<nn::Flatten>("flat");
   auto& d = m.emplace<nn::Dense>(4 * 8 * 8, 6, "fc");
   rng.fill_normal(d.weight().value, 0.0f, 0.3f);
   rng.fill_normal(d.bias().value, 0.0f, 0.1f);
@@ -146,47 +117,17 @@ TEST(FusionPasses, ReluEpilogueIsBitwiseExact) {
 
   nn::FusedPlan plan(m);
   EXPECT_EQ(plan.stats().relu_fused, 2);
-  EXPECT_TRUE(find_node(plan.graph(), "r1")->skip);
-  EXPECT_TRUE(find_node(plan.graph(), "r2")->skip);
-  EXPECT_TRUE(find_node(plan.graph(), "conv")->relu_epilogue);
-  EXPECT_TRUE(find_node(plan.graph(), "fc")->relu_epilogue);
+  ASSERT_EQ(plan.steps().size(), 3u);  // conv+r1, flat, fc+r2
+  EXPECT_EQ(find_step(plan, "r1"), nullptr);
+  EXPECT_EQ(find_step(plan, "r2"), nullptr);
+  EXPECT_TRUE(find_step(plan, "conv")->relu);
+  EXPECT_TRUE(find_step(plan, "fc")->relu);
+  EXPECT_TRUE(find_step(plan, "flat")->reshape);
 }
 
-TEST(FusionPasses, PoolFusionIsBitwiseExact) {
-  for (const bool use_max : {false, true}) {
-    FusionGuard guard;
-    Rng rng(use_max ? 31 : 32);
-    nn::Sequential m(use_max ? "maxpool-conv" : "avgpool-conv");
-    if (use_max)
-      m.emplace<nn::MaxPool2D>(2, "pool");
-    else
-      m.emplace<nn::AvgPool2D>(2, "pool");
-    auto& conv = m.emplace<nn::Conv2D>(1, 3, 3, 1, 1, 6, 6, "conv");
-    rng.fill_normal(conv.weight().value, 0.0f, 0.4f);
-    rng.fill_normal(conv.bias().value, 0.0f, 0.2f);
-    Tensor x({2, 1, 12, 12});
-    rng.fill_normal(x, 0.0f, 1.0f);
-
-    const Tensor unfused = forward_with_fusion(m, x, false);
-    const Tensor fused = forward_with_fusion(m, x, true);
-    testutil::expect_bitwise_equal(
-        fused, unfused, use_max ? "maxpool fusion" : "avgpool fusion");
-
-    nn::FusedPlan plan(m);
-    EXPECT_EQ(plan.stats().pools_fused, 1);
-    const nn::GraphNode* conv_node = find_node(plan.graph(), "conv");
-    ASSERT_NE(conv_node, nullptr);
-    EXPECT_EQ(conv_node->pre_pool.window, 2);
-    EXPECT_EQ(conv_node->pre_pool.kind, use_max ? nn::PrePool::Kind::kMax
-                                                : nn::PrePool::Kind::kAvg);
-    EXPECT_TRUE(find_node(plan.graph(), "pool")->skip);
-  }
-}
-
-TEST(FusionPasses, PostPoolFusionIsBitwiseExact) {
-  // A pool consuming a conv's output pools inside the conv kernel; the
-  // conv→relu→pool chain collapses into one node because the pool's producer
-  // resolves through the fused relu.
+TEST(FusionPlan, PostPoolFoldIsBitwiseExact) {
+  // A pool after a conv pools inside the conv kernel; conv→relu→pool
+  // collapses into one step, the relu applied before pooling.
   for (const bool use_max : {false, true}) {
     FusionGuard guard;
     Rng rng(use_max ? 61 : 62);
@@ -204,28 +145,25 @@ TEST(FusionPasses, PostPoolFusionIsBitwiseExact) {
 
     const Tensor unfused = forward_with_fusion(m, x, false);
     const Tensor fused = forward_with_fusion(m, x, true);
-    ASSERT_EQ(fused.dim(2), 4);  // pooled geometry survives the rewrite
+    ASSERT_EQ(fused.dim(2), 4);  // pooled geometry survives the fold
     testutil::expect_bitwise_equal(
         fused, unfused, use_max ? "post-maxpool fusion" : "post-avgpool fusion");
 
     nn::FusedPlan plan(m);
     EXPECT_EQ(plan.stats().post_pools_fused, 1);
-    EXPECT_EQ(plan.stats().pools_fused, 0);
-    const nn::GraphNode* conv_node = find_node(plan.graph(), "conv");
-    ASSERT_NE(conv_node, nullptr);
-    EXPECT_TRUE(conv_node->relu_epilogue);
-    EXPECT_EQ(conv_node->post_pool.window, 2);
-    EXPECT_EQ(conv_node->post_pool.kind, use_max ? nn::PrePool::Kind::kMax
-                                                 : nn::PrePool::Kind::kAvg);
-    EXPECT_TRUE(find_node(plan.graph(), "pool")->skip);
+    ASSERT_EQ(plan.steps().size(), 1u);
+    const nn::Step& s = plan.steps().front();
+    EXPECT_TRUE(s.relu);
+    EXPECT_EQ(s.post_pool.window, 2);
+    EXPECT_EQ(s.post_pool.kind,
+              use_max ? nn::PrePool::Kind::kMax : nn::PrePool::Kind::kAvg);
   }
 }
 
-TEST(FusionPasses, PostPoolWinsOverPrePoolBetweenTwoConvs) {
-  // conv1→pool→conv2: the pool must fuse into the UPSTREAM conv's epilogue
-  // (eliding conv1's full-resolution output), not conv2's im2col producer —
-  // and a relu AFTER the pool stays a standalone node (fusing it into conv1
-  // would reorder relu before pooling).
+TEST(FusionPlan, PoolBetweenTwoConvsFoldsUpstreamAndLaterReluStaysAlone) {
+  // conv1→pool→relu→conv2: the pool folds into conv1's write-out, and the
+  // relu after it stays its own step (folding it into conv1 would reorder
+  // relu before pooling).
   FusionGuard guard;
   Rng rng(63);
   nn::Sequential m("conv-pool-conv");
@@ -246,38 +184,43 @@ TEST(FusionPasses, PostPoolWinsOverPrePoolBetweenTwoConvs) {
 
   nn::FusedPlan plan(m);
   EXPECT_EQ(plan.stats().post_pools_fused, 1);
-  EXPECT_EQ(plan.stats().pools_fused, 0);
-  EXPECT_EQ(plan.stats().relu_fused, 0);  // relu's producer is the pool
-  EXPECT_EQ(find_node(plan.graph(), "c1")->post_pool.window, 2);
-  EXPECT_FALSE(find_node(plan.graph(), "c1")->relu_epilogue);
-  EXPECT_EQ(find_node(plan.graph(), "c2")->pre_pool.window, 0);
-  EXPECT_TRUE(find_node(plan.graph(), "pool")->skip);
-  EXPECT_FALSE(find_node(plan.graph(), "r")->skip);
+  EXPECT_EQ(plan.stats().relu_fused, 0);
+  ASSERT_EQ(plan.steps().size(), 3u);  // c1+pool, r, c2
+  EXPECT_EQ(find_step(plan, "c1")->post_pool.window, 2);
+  EXPECT_FALSE(find_step(plan, "c1")->relu);
+  EXPECT_EQ(find_step(plan, "pool"), nullptr);
+  EXPECT_NE(find_step(plan, "r"), nullptr);
 }
 
-TEST(FusionPasses, DropoutElisionIsExactIdentity) {
+TEST(FusionPlan, UnfoldableLayersRunAsTheirOwnSteps) {
+  // A pool with no conv before it, a relu after batchnorm (not analog), and
+  // eval-mode dropout each execute as their own step, bitwise equal to the
+  // plain loop.
   FusionGuard guard;
-  Rng rng(51);
-  nn::Sequential m("drop");
-  m.emplace<nn::Dropout>(0.5f, 99, "d0");
-  auto& d = m.emplace<nn::Dense>(8, 5, "fc");
-  rng.fill_normal(d.weight().value, 0.0f, 0.3f);
-  rng.fill_normal(d.bias().value, 0.0f, 0.1f);
-  m.emplace<nn::Dropout>(0.3f, 100, "d1");
-  Tensor x({4, 8});
+  Rng rng(31);
+  nn::Sequential m("standalone");
+  m.emplace<nn::MaxPool2D>(2, "pool");
+  auto& conv = m.emplace<nn::Conv2D>(1, 3, 3, 1, 1, 6, 6, "conv");
+  rng.fill_normal(conv.weight().value, 0.0f, 0.4f);
+  rng.fill_normal(conv.bias().value, 0.0f, 0.2f);
+  auto& bn = m.emplace<nn::BatchNorm2D>(3, 0.9f, 1e-5f, "bn");
+  rng.fill_normal(bn.gamma().value, 1.0f, 0.2f);
+  m.emplace<nn::ReLU>("r");
+  m.emplace<nn::Dropout>(0.5f, 99, "d");
+  m.emplace<nn::AvgPool2D>(2, "pool2");
+  Tensor x({2, 1, 12, 12});
   rng.fill_normal(x, 0.0f, 1.0f);
 
   const Tensor unfused = forward_with_fusion(m, x, false);
   const Tensor fused = forward_with_fusion(m, x, true);
-  testutil::expect_bitwise_equal(fused, unfused, "dropout elision");
+  testutil::expect_bitwise_equal(fused, unfused, "standalone steps");
 
   nn::FusedPlan plan(m);
-  EXPECT_EQ(plan.stats().dropout_elided, 2);
-  EXPECT_TRUE(find_node(plan.graph(), "d0")->skip);
-  EXPECT_TRUE(find_node(plan.graph(), "d1")->skip);
+  EXPECT_EQ(plan.stats().rewrites(), 0);
+  EXPECT_EQ(plan.steps().size(), static_cast<size_t>(m.num_layers()));
 }
 
-TEST(FusionObs, PassCountersAccumulate) {
+TEST(FusionObs, FoldCountersAccumulate) {
   auto& reg = obs::metrics();
   const bool was_enabled = reg.enabled();
   reg.set_enabled(true);
@@ -295,7 +238,7 @@ TEST(FusionObs, PassCountersAccumulate) {
   reg.set_enabled(was_enabled);
 }
 
-// ---------- randomized graph-parity sweep ----------
+// ---------- randomized parity sweep ----------
 
 TEST(FusionParity, RandomizedDigitalGraphSweep) {
   FusionGuard guard;
@@ -324,12 +267,12 @@ TEST(FusionParity, RandomizedDigitalGraphSweep) {
     }
   }
   EXPECT_GT(bn_models, 0);  // the sweep exercised BN-bearing graphs
-  EXPECT_GT(rewrites, 0);   // and the passes rewrote something
+  EXPECT_GT(rewrites, 0);   // and the plan folded something
 }
 
 TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
-  // Crossbar lowering pools a crossbar conv's output as it is written
-  // (post-pool), so fused vs unfused on a chip is bitwise for every target.
+  // The plan pools a crossbar conv's output as it is written (post-pool),
+  // and fused vs unfused on a chip is bitwise for every target.
   FusionGuard guard;
   analog::RramDeviceParams dev;
   dev.g_min = 1e-6f;
@@ -355,7 +298,6 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
                                      "target " + t->name() + " seed " +
                                          std::to_string(seed));
       nn::FusedPlan plan(chip);
-      EXPECT_EQ(plan.stats().pools_fused, 0) << t->name();
       crossbar_post_pools += plan.stats().post_pools_fused;
     }
   }
@@ -377,6 +319,65 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
   const Tensor unfused = forward_with_fusion(chip, x, false);
   const Tensor fused = forward_with_fusion(chip, x, true);
   testutil::expect_bitwise_equal(fused, unfused, "pinned generic simd");
+}
+
+TEST(FusionParity, CompensatedChipIsBitwiseExactOnEveryTarget) {
+  // The CorrectNet chip: conv1 and conv2 of LeNet-5 wrapped in compensation
+  // (§III-B), their bases on the crossbar. relu1/relu2 fold into the
+  // compensated steps (the default forward_relu clamp), and fused vs
+  // unfused stays bitwise with read noise off and on.
+  FusionGuard guard;
+  Rng init(71);
+  const nn::Sequential lenet = models::lenet5(1, 28, 10, init);
+  core::CompensationPlan comp;
+  comp.entries = {{0, 4}, {3, 4}};  // conv1, conv2
+  Rng comp_rng(72);
+  nn::Sequential model = core::with_compensation(lenet, comp, comp_rng);
+  Rng xr(73);
+  Tensor x({3, 1, 28, 28});
+  xr.fill_normal(x, 0.0f, 1.0f);
+
+  auto expect_folds = [](nn::Sequential& m, const std::string& what) {
+    nn::FusedPlan plan(m);
+    for (const char* conv : {"conv1+comp", "conv2+comp"}) {
+      const nn::Step* s = find_step(plan, conv);
+      ASSERT_NE(s, nullptr) << what << " " << conv;
+      EXPECT_EQ(s->layer->kind(), "compensated_conv2d") << what;
+      EXPECT_TRUE(s->relu) << what << " " << conv;
+    }
+    EXPECT_EQ(find_step(plan, "relu1"), nullptr) << what;
+    EXPECT_EQ(find_step(plan, "relu2"), nullptr) << what;
+  };
+
+  expect_folds(model, "digital");
+  testutil::expect_bitwise_equal(forward_with_fusion(model, x, true),
+                                 forward_with_fusion(model, x, false),
+                                 "digital compensated model");
+
+  analog::RramDeviceParams dev;
+  dev.g_min = 1e-6f;
+  dev.g_max = 1e-4f;
+  dev.program_sigma = 0.1f;
+  int targets_run = 0;
+  for (const float read_sigma : {0.0f, 0.05f}) {
+    dev.readout.read_sigma = read_sigma;
+    for (const exec::Target* t : exec::registered_targets()) {
+      if (!t->available()) continue;
+      ++targets_run;
+      const std::string what = "target " + t->name() + " read_sigma " +
+                               std::to_string(read_sigma);
+      Rng prog(74);
+      nn::Sequential chip = analog::program_to_crossbars(
+          model, dev, prog, /*tile=*/64, nullptr, 0, nullptr, t);
+      expect_folds(chip, what);
+      analog::set_read_seeds(chip, 75);
+      const Tensor unfused = forward_with_fusion(chip, x, false);
+      analog::set_read_seeds(chip, 75);
+      const Tensor fused = forward_with_fusion(chip, x, true);
+      testutil::expect_bitwise_equal(fused, unfused, what);
+    }
+  }
+  EXPECT_GE(targets_run, 4);  // simd and simd-generic, noise off and on
 }
 
 // ---------- campaign byte-identity ----------

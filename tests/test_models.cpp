@@ -63,14 +63,23 @@ TEST(Vgg, WidthScalesParameters) {
   EXPECT_LT(mn.num_params(), mw.num_params());
 }
 
-TEST(Vgg, DropoutLayersOptional) {
+TEST(Vgg, LayerChainIsConvReluBlocksThenDenseHead) {
+  // 13 conv+relu pairs in 5 pooled blocks, flatten, then fc+relu, fc+relu,
+  // fc: 37 layers and no dropout.
   Rng rng(8);
   VggConfig cfg;
-  cfg.dropout = 0.5f;
-  nn::Sequential with = vgg16(cfg, rng);
-  cfg.dropout = 0.0f;
-  nn::Sequential without = vgg16(cfg, rng);
-  EXPECT_EQ(with.num_layers(), without.num_layers() + 2);
+  nn::Sequential m = vgg16(cfg, rng);
+  ASSERT_EQ(m.num_layers(), 37);
+  int pools = 0;
+  for (int64_t i = 0; i < m.num_layers(); ++i) {
+    const std::string kind = m.layer(i).kind();
+    EXPECT_NE(kind, "dropout") << i;
+    if (kind != "maxpool") continue;
+    ++pools;
+    EXPECT_EQ(m.layer(i - 1).kind(), "relu") << i;
+  }
+  EXPECT_EQ(pools, 5);
+  EXPECT_EQ(m.layer(31).kind(), "flatten");
 }
 
 TEST(Vgg, InitializedWeightsAreFinite) {

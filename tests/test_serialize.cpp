@@ -7,9 +7,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "models/lenet.h"
+#include "mutation_testutil.h"
+#include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/init.h"
 #include "tensor/rng.h"
@@ -142,6 +147,70 @@ TEST(Serialize, HostileLengthFieldsAndTruncationRejected) {
   }
   write_file(path, valid);
   EXPECT_NO_THROW(load_weights(b, path));
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, MismatchedStoredNameRejected) {
+  Sequential a("a");
+  a.emplace<Dense>(3, 2, "d");
+  const std::string path = temp_path("cn_test_names.wts");
+  save_weights(a, path);
+  Sequential b("b");
+  b.emplace<Dense>(3, 2, "e");
+  EXPECT_THROW(load_weights(b, path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// A small conv+dense model whose weights are all drawn from `seed`, so two
+// seeds give two bitwise-distinct models of one architecture.
+Sequential seeded_model(uint64_t seed) {
+  Rng rng(seed);
+  Sequential m("m");
+  auto& c = m.emplace<Conv2D>(1, 2, 3, 1, 0, 5, 5, "conv");
+  auto& d = m.emplace<Dense>(2 * 3 * 3, 3, "fc");
+  for (Param* p : {&c.weight(), &c.bias(), &d.weight(), &d.bias()})
+    rng.fill_normal(p->value, 0.0f, 1.0f);
+  return m;
+}
+
+std::vector<std::vector<float>> param_values(Sequential& m) {
+  std::vector<std::vector<float>> out;
+  for (Param* p : m.params())
+    out.emplace_back(p->value.data(), p->value.data() + p->value.size());
+  return out;
+}
+
+TEST(Serialize, MutatedWeightFilesLoadOrThrowAndLeaveModelUntouched) {
+  // Every mutant of a valid file (truncation, bit flips, inflation) either
+  // loads cleanly or throws std::runtime_error — and a throw, wherever in
+  // the file it happens, leaves the target model bitwise as it was.
+  Sequential a = seeded_model(1);
+  const std::string path = temp_path("cn_test_mutants.wts");
+  save_weights(a, path);
+  const std::vector<char> bytes = read_file(path);
+  const std::string valid(bytes.begin(), bytes.end());
+  std::mt19937_64 rng(18);
+  int loaded = 0, rejected = 0;
+  for (int i = 0; i < 300; ++i) {
+    const auto kind = static_cast<testutil::Mutation>(i % 3);
+    const std::string m = testutil::mutate(valid, kind, rng);
+    write_file(path, std::vector<char>(m.begin(), m.end()));
+    Sequential b = seeded_model(2);
+    const auto before = param_values(b);
+    try {
+      load_weights(b, path);
+      ++loaded;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      EXPECT_TRUE(param_values(b) == before) << "mutant " << i
+                                             << " threw but modified the model";
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw an untyped error: " << e.what();
+    }
+  }
+  // Both outcomes occur, so the harness exercises the parser and its checks.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
   std::remove(path.c_str());
 }
 
