@@ -1,10 +1,10 @@
 // google-benchmark microbenchmarks for the compute kernels underneath the
 // experiments: matmul, conv2d forward/backward, im2col, crossbar MVM, the
-// batched crossbar matmul on every execution target, the
+// batched crossbar matmul at every ISA level the host runs, the
 // conv-shaped crossbar legs, and Monte-Carlo perturbation sampling.
 //
 // Writes BENCH_kernels.json (see bench::BenchJson): GFLOP/s of the
-// conv-shaped crossbar legs next to the 512x512 per-target matmul legs, so
+// conv-shaped crossbar legs next to the 512x512 per-level matmul legs, so
 // the narrow-tile regime of a LeNet conv shows beside the kernel peak.
 // Record-only: no gate reads these numbers.
 #include <benchmark/benchmark.h>
@@ -15,7 +15,7 @@
 #include "analog/crossbar.h"
 #include "analog/variation.h"
 #include "common.h"
-#include "exec/target.h"
+#include "exec/simd.h"
 #include "nn/conv2d.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -101,9 +101,9 @@ void BM_CrossbarMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarMatvec)->Arg(128)->Arg(512);
 
-// The batched crossbar matmul on one explicit execution target; registered
-// per available row of the target table in main.
-void BM_CrossbarMatmulTarget(benchmark::State& state, const exec::Target* t) {
+// The batched crossbar matmul with its tiles lowered at one pinned simd
+// level; registered per level this host runs in main.
+void BM_CrossbarMatmulLevel(benchmark::State& state, int level) {
   const int64_t n = state.range(0), batch = 32;
   Rng rng(7);
   Tensor w({n, n});
@@ -111,7 +111,9 @@ void BM_CrossbarMatmulTarget(benchmark::State& state, const exec::Target* t) {
   analog::RramDeviceParams dev;
   dev.program_sigma = 0.1f;
   Rng prog(8);
-  analog::CrossbarArray xbar(w, dev, prog, /*tile=*/128, nullptr, nullptr, t);
+  exec::simd::pin_level(level);
+  const analog::CrossbarArray xbar(w, dev, prog, /*tile=*/128);
+  exec::simd::pin_level(-1);
   Tensor x({batch, n});
   rng.fill_normal(x, 0.0f, 1.0f);
   for (auto _ : state) {
@@ -190,16 +192,16 @@ class GflopsCapture : public benchmark::ConsoleReporter {
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): the per-target crossbar legs are
-// registered from the execution-target table, and the
-// crossbar legs' GFLOP/s is written to BENCH_kernels.json.
+// Custom main instead of BENCHMARK_MAIN(): the per-level crossbar legs are
+// registered for every simd level this host runs, and the crossbar legs'
+// GFLOP/s is written to BENCH_kernels.json.
 int main(int argc, char** argv) {
-  for (const cn::exec::Target* t : cn::exec::registered_targets()) {
-    if (!t->available()) continue;
-    const std::string name = "BM_CrossbarMatmul/" + t->name();
+  for (int level = 0; level <= cn::exec::simd::max_level(); ++level) {
+    const std::string name =
+        std::string("BM_CrossbarMatmul/") + cn::exec::simd::level_name(level);
     benchmark::RegisterBenchmark(
         name.c_str(),
-        [t](benchmark::State& s) { BM_CrossbarMatmulTarget(s, t); })
+        [level](benchmark::State& s) { BM_CrossbarMatmulLevel(s, level); })
         ->Arg(128)
         ->Arg(512)
         ->UseRealTime();

@@ -8,8 +8,8 @@
 // and compensated networks on the crossbar substrate — and writes a JSON
 // CampaignReport. Its scenario grid comes from a key=value config file (see
 // examples/fault_campaign.cfg); a built-in quick grid is used when --config
-// is omitted. `--list-targets` prints the execution-target table and
-// `--version` the build identity line.
+// is omitted. `--version` prints the build identity line, the simd level
+// the crossbar kernels run at included.
 //
 // Every flag is a core::Knob row (frontend_knobs.h); a bad flag prints the
 // usage generated from them and exits 2. docs/CONFIG.md says what each one
@@ -24,7 +24,6 @@
 
 #include "core/pipeline.h"
 #include "data/synthetic.h"
-#include "exec/target.h"
 #include "faultsim/campaign.h"
 #include "frontend_knobs.h"
 #include "models/lenet.h"
@@ -45,7 +44,7 @@ using cn::examples::parse_flags;
 
 // The main command's usage line also names the other commands.
 constexpr const char* kMainUsage =
-    " [flags] | faults [flags] | --list-targets | --version";
+    " [flags] | faults [flags] | --version";
 
 // Writes the observability sinks, ends the snapshot stream (its final
 // partial-interval line) and points at the files a flag or `cfg` asked for.
@@ -55,22 +54,6 @@ int finish_sinks(const cn::core::KeyValueConfig& cfg) {
   for (const char* sink : {"metrics", "trace"})
     if (const std::string path = cfg.str(sink + std::string("_out")); !path.empty())
       std::printf("%s -> %s\n", sink, path.c_str());
-  return 0;
-}
-
-int list_targets(const char* argv0) {
-  std::string def;
-  try {  // resolves CORRECTNET_TARGET, which may name an unknown target
-    def = cn::exec::default_target().name();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-    return 2;
-  }
-  std::printf("registered execution targets (* = default):\n");
-  for (const cn::exec::Target* t : cn::exec::registered_targets())
-    std::printf("%c %-14s %-12s %s\n", t->name() == def ? '*' : ' ',
-                t->name().c_str(), t->available() ? "available" : "unavailable",
-                t->description().c_str());
   return 0;
 }
 
@@ -135,13 +118,12 @@ int run_faults(int argc, char** argv) {
 
   const faultsim::CampaignOptions& co = campaign.options();
   std::printf("\nrunning fault campaign: %lld scenarios (%lld fault specs x %lld "
-              "protection variants%s), target %s, concurrency %lld\n",
+              "protection variants%s), simd %s, concurrency %lld\n",
               static_cast<long long>(campaign.num_scenarios()),
               static_cast<long long>(campaign.num_faults()),
               static_cast<long long>(campaign.num_models()),
               co.remap.enabled ? " x 2 remap variants" : "",
-              co.target.empty() ? exec::default_target().name().c_str()
-                                : co.target.c_str(),
+              obs::build_info().simd.c_str(),
               static_cast<long long>(runtime::effective_concurrency(
                   co.parallel_scenarios, campaign.num_scenarios())));
   const faultsim::CampaignReport report = campaign.run(ds.test);
@@ -207,12 +189,11 @@ int main(int argc, char** argv) {
   // faults keeps per-scenario progress (logged at debug) visible by default;
   // the environment, the config file and the flags all override that.
   if (faults) obs::Logger::global().set_level(obs::LogLevel::kDebug);
-  // Each command calls obs::configure once, with every layer merged; the two
-  // that do no work still apply (and so check) the environment.
+  // Each command calls obs::configure once, with every layer merged;
+  // --version does no work but still applies (and so checks) the environment.
   const bool version = argc > 1 && std::strcmp(argv[1], "--version") == 0;
-  const bool list = argc > 1 && std::strcmp(argv[1], "--list-targets") == 0;
   try {
-    if (version || list) obs::init_from_env();
+    if (version) obs::init_from_env();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
@@ -221,14 +202,10 @@ int main(int argc, char** argv) {
     std::printf("%s\n", obs::build_info_line().c_str());
     return 0;
   }
-  if (list) return list_targets(argv[0]);
   if (faults) return run_faults(argc, argv);
   const core::KeyValueConfig args =
       parse_flags(cli_knobs(), argc, argv, 1, kMainUsage);
   try {
-    // Sets the process-wide default execution target: everything that
-    // programs crossbars after this lowers through it.
-    if (!args.str("target").empty()) exec::set_default_target(args.str("target"));
     obs::configure(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());

@@ -60,7 +60,7 @@ inline const core::Knobs& cli_knobs() {
         {"test", KnobType::kInt, "600", "--test"},
         {"save_prefix", KnobType::kString, "", "--save-prefix"},
     };
-    // --target sets the process default here (the campaign key's row).
+    // Retired flags, so old scripts exit 2 with what replaced them.
     core::append(r, faultsim::campaign_knobs(), {"target", "fusion"});
     core::append(r, obs::knobs(),
                  {"metrics_out", "trace_out", "log_level", "statusz_port",

@@ -11,9 +11,8 @@
 namespace cn::analog {
 
 CrossbarTile::CrossbarTile(const Tensor& w, float w_absmax, const RramDeviceParams& dev,
-                           Rng& rng, bool defer_lowering, const exec::Target* target)
-    : rows_(w.dim(0)), cols_(w.dim(1)), dev_(dev),
-      target_(target ? target : &exec::default_target()) {
+                           Rng& rng, bool defer_lowering)
+    : rows_(w.dim(0)), cols_(w.dim(1)), dev_(dev) {
   if (w.rank() != 2) throw std::invalid_argument("CrossbarTile: weight must be rank-2");
   if (dev.g_max <= dev.g_min)
     throw std::invalid_argument("CrossbarTile: g_max must exceed g_min");
@@ -47,17 +46,14 @@ CrossbarTile::CrossbarTile(const Tensor& w, float w_absmax, const RramDevicePara
 
 void CrossbarTile::lower() {
   exec_ = exec::TileExec(g_pos_.data(), g_neg_.data(), rows_, cols_,
-                         target_->level());
-  // Per-target lowering volume (tiles and conductance bytes consumed). The
-  // name lookup is mutex-guarded, so skip it entirely when gated off — this
-  // runs per tile per chip build.
-  if (obs::metrics().enabled()) {
-    const std::string prefix = "exec." + target_->name();
-    obs::metrics().counter(prefix + ".tiles").add(1);
-    obs::metrics().counter(prefix + ".bytes")
-        .add(static_cast<uint64_t>(rows_) * static_cast<uint64_t>(cols_) * 2 *
-             sizeof(float));
-  }
+                         exec::simd::level());
+  // Lowering volume (tiles and conductance bytes consumed). This runs per
+  // tile per chip build, so each counter is resolved once.
+  static obs::Counter& tiles = obs::metrics().counter("exec.tiles");
+  static obs::Counter& bytes = obs::metrics().counter("exec.bytes");
+  tiles.add(1);
+  bytes.add(static_cast<uint64_t>(rows_) * static_cast<uint64_t>(cols_) * 2 *
+            sizeof(float));
 }
 
 void CrossbarTile::apply_faults(const FaultList& faults,
@@ -203,14 +199,10 @@ Tensor CrossbarTile::effective_weights() const {
 
 CrossbarArray::CrossbarArray(const Tensor& w_out_in, const RramDeviceParams& dev,
                              Rng& rng, int64_t tile, const FaultList* faults,
-                             const remap::RemapParams* remap,
-                             const exec::Target* target) {
+                             const remap::RemapParams* remap) {
   if (w_out_in.rank() != 2)
     throw std::invalid_argument("CrossbarArray: weight must be rank-2");
   if (tile < 1) throw std::invalid_argument("CrossbarArray: tile must be positive");
-  // Resolve the default once: every tile of the array lowers through one
-  // target even if the process default changes mid-construction.
-  target_ = target ? target : &exec::default_target();
   dev_ = dev;
   // Nonideality models may rescale device parameters (e.g. temperature-
   // dependent sigmas) before anything is programmed.
@@ -231,8 +223,7 @@ CrossbarArray::CrossbarArray(const Tensor& w_out_in, const RramDeviceParams& dev
           sub[r * cc + c] = w_in_out[(r0 + r) * out_ + (c0 + c)];
       const bool have_faults = faults && !faults->empty();
       tiles_.push_back(Placed{r0, c0, CrossbarTile(sub, absmax, dev_, rng,
-                                                   /*defer_lowering=*/have_faults,
-                                                   target_)});
+                                                   /*defer_lowering=*/have_faults)});
       if (have_faults) {
         FaultModel::TileCtx ctx;
         ctx.rows = rr;
@@ -275,6 +266,10 @@ Reads tile_reads(const Reads& reads, size_t t) {
 }
 
 }  // namespace
+
+int CrossbarArray::level() const {
+  return tiles_.empty() ? exec::simd::level() : tiles_.front().tile.level();
+}
 
 Tensor CrossbarArray::matvec(const Tensor& x, const Reads& reads) const {
   if (x.size() != in_) throw std::invalid_argument("CrossbarArray::matvec: size mismatch");

@@ -19,7 +19,7 @@
 
 #include "analog/quant.h"
 #include "analog/variation.h"
-#include "exec/target.h"
+#include "exec/simd.h"
 #include "remap/remap.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
@@ -137,14 +137,13 @@ class CrossbarTile {
  public:
   /// Programs the tile from `w` (rows=in, cols=out), scaling by max |w| of
   /// the whole array (`w_absmax`). Applies level quantization then
-  /// programming variation via `rng`. The batched path executes through
-  /// `target` (nullptr = exec::default_target()), which lowers the
-  /// programmed conductances once at construction. `defer_lowering` skips
-  /// that when an apply_faults call is known to follow immediately (it
+  /// programming variation via `rng`. The batched path's simd kernels are
+  /// lowered once at construction, at exec::simd::level(); `defer_lowering`
+  /// skips that when an apply_faults call is known to follow immediately (it
   /// re-lowers) — callers who defer and then never apply faults would leave
   /// the batched path with no executable.
   CrossbarTile(const Tensor& w, float w_absmax, const RramDeviceParams& dev, Rng& rng,
-               bool defer_lowering = false, const exec::Target* target = nullptr);
+               bool defer_lowering = false);
 
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
@@ -172,7 +171,7 @@ class CrossbarTile {
   void accumulate_matvec(const float* x, float* y, const Reads& reads) const;
 
   /// Batched path: accumulates `nitems` input vectors into y through the
-  /// tile's lowered execution target, item-blocked so conductance loads
+  /// tile's lowered simd kernels, item-blocked so conductance loads
   /// amortize across the batch. Input element (item i, wordline r) sits at
   /// x[i * x_item_stride + r * x_word_stride], which covers both row-major
   /// batches (item_stride = ld, word_stride = 1) and column-major ones like
@@ -192,6 +191,9 @@ class CrossbarTile {
   /// The effective (perturbed, quantized) weight matrix (rows=in, cols=out).
   Tensor effective_weights() const;
 
+  /// The ISA level the batched path was lowered at.
+  int level() const { return exec_.level(); }
+
  private:
   /// Read noise (as item `item` of `reads`) + ADC + scaled accumulation of
   /// one current row into y; shared tail of the scalar and batched paths
@@ -207,7 +209,7 @@ class CrossbarTile {
                     const Reads& reads, int64_t item0) const;
 
   /// (Re-)builds the batched path's executable from the programmed
-  /// conductances at the target's ISA level (after programming or fault
+  /// conductances at exec::simd::level() (after programming or fault
   /// injection).
   void lower();
 
@@ -215,7 +217,6 @@ class CrossbarTile {
   float scale_;                 // weight per Siemens
   RramDeviceParams dev_;
   std::vector<float> g_pos_, g_neg_;  // programmed conductances, row-major
-  const exec::Target* target_;  // a target-table row, process lifetime
   // The batched path's executable: its own copy of the g arrays, so any
   // mutation of the arrays must re-lower.
   exec::TileExec exec_;
@@ -232,20 +233,19 @@ class CrossbarArray {
   /// pure function of its seed. Active `remap` params additionally run the
   /// fault-aware remapping controller on every tile (see
   /// CrossbarTile::apply_faults); the summed repair accounting is readable
-  /// via remap_stats(). The batched path executes through `target` (nullptr
-  /// = exec::default_target() at construction time); the scalar matvec
-  /// reference is target-independent.
+  /// via remap_stats(). The batched path runs the simd kernels at the level
+  /// current at construction; the scalar matvec reference is
+  /// level-independent.
   CrossbarArray(const Tensor& w_out_in, const RramDeviceParams& dev, Rng& rng,
                 int64_t tile = 128, const FaultList* faults = nullptr,
-                const remap::RemapParams* remap = nullptr,
-                const exec::Target* target = nullptr);
+                const remap::RemapParams* remap = nullptr);
 
   int64_t in_dim() const { return in_; }
   int64_t out_dim() const { return out_; }
   int64_t num_tiles() const { return static_cast<int64_t>(tiles_.size()); }
 
-  /// The execution target this array was lowered with.
-  const exec::Target& target() const { return *target_; }
+  /// The ISA level this array's tiles were lowered at.
+  int level() const;
 
   /// y = W_eff · x, as read `reads->first`; read noise is drawn when a key
   /// is given and the device has read_sigma > 0.
@@ -291,7 +291,6 @@ class CrossbarArray {
     CrossbarTile tile;
   };
   int64_t in_, out_;
-  const exec::Target* target_ = nullptr;
   RramDeviceParams dev_;
   remap::RemapStats remap_stats_;
   std::vector<Placed> tiles_;

@@ -9,10 +9,9 @@ namespace cn::analog {
 
 CrossbarDense::CrossbarDense(const nn::Dense& src, const RramDeviceParams& dev,
                              Rng& prog_rng, int64_t tile, const FaultList* faults,
-                             const remap::RemapParams* remap,
-                             const exec::Target* target)
+                             const remap::RemapParams* remap)
     : xbar_(std::make_shared<CrossbarArray>(src.nominal_weight(), dev, prog_rng,
-                                            tile, faults, remap, target)),
+                                            tile, faults, remap)),
       bias_(const_cast<nn::Dense&>(src).bias().value) {
   label_ = src.label() + "@xbar";
 }
@@ -73,10 +72,9 @@ std::unique_ptr<nn::Layer> CrossbarDense::clone() const {
 
 CrossbarConv2D::CrossbarConv2D(const nn::Conv2D& src, const RramDeviceParams& dev,
                                Rng& prog_rng, int64_t tile, const FaultList* faults,
-                               const remap::RemapParams* remap,
-                               const exec::Target* target)
+                               const remap::RemapParams* remap)
     : xbar_(std::make_shared<CrossbarArray>(src.nominal_weight(), dev, prog_rng,
-                                            tile, faults, remap, target)),
+                                            tile, faults, remap)),
       geom_(src.geom()),
       out_c_(src.out_channels()),
       bias_(const_cast<nn::Conv2D&>(src).bias().value) {
@@ -176,8 +174,7 @@ nn::Sequential program_to_crossbars(const nn::Sequential& model,
                                     const RramDeviceParams& dev, Rng& prog_rng,
                                     int64_t tile, const FaultList* faults,
                                     int64_t first_fault_site,
-                                    const remap::RemapParams* remap,
-                                    const exec::Target* target) {
+                                    const remap::RemapParams* remap) {
   nn::Sequential out(model.label() + "@xbar");
   int64_t site = 0;  // analog sites in execution order, matching perturb_from
   auto to_crossbar = [&](const nn::Layer& src) -> std::unique_ptr<nn::Layer> {
@@ -188,12 +185,12 @@ nn::Sequential program_to_crossbars(const nn::Sequential& model,
     if (const auto* d = dynamic_cast<const nn::Dense*>(&src)) {
       ++site;
       return std::make_unique<CrossbarDense>(*d, dev, prog_rng, tile, site_faults,
-                                             site_remap, target);
+                                             site_remap);
     }
     if (const auto* c = dynamic_cast<const nn::Conv2D*>(&src)) {
       ++site;
       return std::make_unique<CrossbarConv2D>(*c, dev, prog_rng, tile, site_faults,
-                                              site_remap, target);
+                                              site_remap);
     }
     return nullptr;
   };

@@ -11,8 +11,8 @@
 // tests/test_crossbar_exec.cpp and examples/crossbar_inspect.cpp).
 //
 // Both layers default to the batched execution path (CrossbarArray::matmul,
-// whole batches per tile pass, through the simd kernels at the ISA level of
-// the layer's exec::Target); set_batched(false) restores the original
+// whole batches per tile pass, through the simd kernels at
+// exec::simd::level()); set_batched(false) restores the original
 // per-column matvec loop, kept as the reference of the exact-equivalence
 // tests.
 //
@@ -41,12 +41,9 @@ class CrossbarDense final : public nn::Layer {
   /// `faults` (optional, non-owning) injects device faults at programming
   /// time (see analog::FaultModel), and active `remap` params run the
   /// fault-aware remapping controller over the injected defect maps.
-  /// `target` pins the batched path's ISA level (nullptr = process default
-  /// target; see src/exec/target.h).
   CrossbarDense(const nn::Dense& src, const RramDeviceParams& dev, Rng& prog_rng,
                 int64_t tile = 128, const FaultList* faults = nullptr,
-                const remap::RemapParams* remap = nullptr,
-                const exec::Target* target = nullptr);
+                const remap::RemapParams* remap = nullptr);
 
   Tensor forward(const Tensor& x, bool train) override;
   /// Fused ReLU epilogue (relu-epilogue pass): the clamp rides the bias-add
@@ -84,8 +81,7 @@ class CrossbarConv2D final : public nn::Layer {
  public:
   CrossbarConv2D(const nn::Conv2D& src, const RramDeviceParams& dev, Rng& prog_rng,
                  int64_t tile = 128, const FaultList* faults = nullptr,
-                 const remap::RemapParams* remap = nullptr,
-                 const exec::Target* target = nullptr);
+                 const remap::RemapParams* remap = nullptr);
 
   Tensor forward(const Tensor& x, bool train) override;
   /// Fused ReLU epilogue (relu-epilogue pass): the clamp rides the bias-add
@@ -132,15 +128,13 @@ class CrossbarConv2D final : public nn::Layer {
 /// Active `remap` params run the fault-aware remapping controller on every
 /// faulted site (remapping repairs the defect maps faults inject, so it is
 /// gated by the same first_fault_site window); per-chip repair accounting is
-/// readable via collect_remap_stats. Every crossbar layer executes through
-/// `target` (nullptr = process default execution target).
+/// readable via collect_remap_stats.
 nn::Sequential program_to_crossbars(const nn::Sequential& model,
                                     const RramDeviceParams& dev, Rng& prog_rng,
                                     int64_t tile = 128,
                                     const FaultList* faults = nullptr,
                                     int64_t first_fault_site = 0,
-                                    const remap::RemapParams* remap = nullptr,
-                                    const exec::Target* target = nullptr);
+                                    const remap::RemapParams* remap = nullptr);
 
 /// Gives every crossbar layer in `model` (recursing into nested Sequentials)
 /// its own read seed, derived deterministically from `seed`, and restarts

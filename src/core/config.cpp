@@ -1,6 +1,7 @@
 #include "core/config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -67,7 +68,12 @@ std::vector<T> parse_cells(const std::string& v, const std::string& where,
 void check_value(const Knob& k, const std::string& v, const std::string& where) {
   switch (k.type) {
     case KnobType::kInt: parse_int(v, where); break;
-    case KnobType::kNumber: parse_number(v, where); break;
+    case KnobType::kNumber:
+      // nan/inf parse, but no number knob means anything by them.
+      if (!std::isfinite(parse_number(v, where)))
+        throw std::runtime_error("KeyValueConfig: number '" + v +
+                                 "' is not finite in " + where);
+      break;
     case KnobType::kBool: parse_bool(v, where); break;
     case KnobType::kList: parse_cells(v, where, parse_number); break;
     case KnobType::kIntList: parse_cells(v, where, parse_int); break;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 namespace cn::data {
 
 Batcher::Batcher(const Dataset& ds, int64_t batch_size)
     : ds_(ds), batch_size_(batch_size), order_(static_cast<size_t>(ds.size())) {
+  if (batch_size < 1) throw std::invalid_argument("Batcher: batch_size must be >= 1");
   std::iota(order_.begin(), order_.end(), 0);
 }
 

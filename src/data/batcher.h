@@ -18,6 +18,7 @@ struct Batch {
 /// Deterministic shuffling batcher. Call `reshuffle(rng)` between epochs.
 class Batcher {
  public:
+  /// Throws std::invalid_argument when batch_size < 1.
   Batcher(const Dataset& ds, int64_t batch_size);
 
   int64_t num_batches() const;

@@ -4,14 +4,17 @@
 // (dense) batches and pixel lanes for item-contiguous (im2col) batches,
 // whose tiles are often only a few bitlines wide.
 //
-// The "simd" target runs the widest level the host supports, and one pinned
-// target per level proves all variants bit-identical.
+// Tiles run the widest level the host supports (simd::level()); the parity
+// suites pin each level in turn to prove all variants bit-identical.
 //
 // This translation unit must stay contraction-free (see the avx attribute
 // and src/CMakeLists.txt): a fused multiply-add would round differently from
 // the scalar matvec path and break the bit-exactness contract.
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -21,7 +24,7 @@
 #define CN_HAVE_X86_TARGETS 0
 #endif
 
-#include "exec/target.h"
+#include "exec/simd.h"
 
 namespace cn::exec {
 namespace {
@@ -222,7 +225,7 @@ CN_AVX512 void pixel_kernel_avx512(const double* gp, const double* gn,
 #endif  // CN_HAVE_X86_TARGETS
 
 // One kernel table per ISA level (generic, avx2, avx512f), so dispatch can
-// be pinned per level for the parity targets. Builds without x86 target
+// be pinned per level for the parity suites. Builds without x86 target
 // attributes alias every level to the generic kernels.
 #define CN_BITLINE_LEVEL(fn) \
   {fn<1>, fn<2>, fn<3>, fn<4>, fn<5>, fn<6>, fn<7>, fn<8>}
@@ -306,6 +309,28 @@ namespace simd {
 int max_level() {
   static const int max = detect_level();
   return max;
+}
+
+namespace {
+std::atomic<int> pinned{-1};  // pin_level; -1 = unpinned
+}  // namespace
+
+int level() {
+  const int p = pinned.load();
+  return p < 0 ? max_level() : p;
+}
+
+const char* level_name(int level) {
+  static const char* const kNames[] = {"generic", "avx2", "avx512f"};
+  return kNames[level];
+}
+
+void pin_level(int level) {
+  if (level < -1 || level > max_level())
+    throw std::invalid_argument("simd::pin_level: level " + std::to_string(level) +
+                                " is not runnable on this host (max level " +
+                                std::to_string(max_level()) + ")");
+  pinned.store(level);
 }
 
 }  // namespace simd

@@ -1,38 +1,21 @@
-// Execution targets of the batched crossbar path.
-//
-// The hot bitline-current kernel has one implementation family, the simd
-// kernels (src/exec/simd_target.cpp), at three ISA levels. A Target names
-// one level of that family; the set is a fixed four-row table:
-//
-//   simd          the widest ISA level this host supports
-//                 (generic/avx2/avx512f) — the default
-//   simd-generic  the portable kernels, pinned
-//   simd-avx2     AVX2 kernels, pinned (x86-64 GCC builds on AVX2 hosts)
-//   simd-avx512f  AVX-512F kernels, pinned
-//
-// The pinned rows are the parity references: every level must agree bit for
-// bit. Frontends enumerate the table (`correctnet_cli --list-targets`) and
-// configs select a row by name (the campaign `target` key, `--target`).
+// The batched crossbar path's one kernel family: the simd kernels
+// (src/exec/simd.cpp) at three ISA levels, 0 = generic, 1 = avx2 and
+// 2 = avx512f. Tiles lower at simd::level(), which is the widest level this
+// build and host support (read from cpuid); the parity suites pin each
+// level in turn with simd::pin_level to prove all of them bit-identical.
 //
 // Bit-exactness contract: every level produces currents bit-identical to
 // CrossbarTile's per-column scalar reference under every fault model and
 // remap setting (per-column accumulation in ascending wordline order, double
 // accumulators, no FMA contraction — see the parity suites in
-// tests/test_crossbar_exec.cpp). A target therefore never changes a result,
-// only how fast it is computed.
-//
-// The process default target is, in increasing precedence: "simd", the
-// CORRECTNET_TARGET environment variable (validated at the first
-// get_target/default_target call; how CI forces a target under every test
-// binary), set_default_target(). Already-constructed arrays keep the target
-// they were lowered with.
+// tests/test_crossbar_exec.cpp). The level therefore never changes a result,
+// only how fast it is computed, and nothing outside tests and bench_kernels
+// selects it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "core/config.h"
 
 namespace cn::exec {
 
@@ -97,6 +80,9 @@ class TileExec {
     return level_ == 2 ? 8 : 4;
   }
 
+  /// The ISA level this tile was lowered at.
+  int level() const { return level_; }
+
  private:
   int64_t rows_ = 0, cols_ = 0;
   int level_ = 0;
@@ -104,56 +90,19 @@ class TileExec {
   std::vector<double> gd_pos_, gd_neg_;
 };
 
-/// One row of the target table: an ISA level of the simd family.
-class Target {
- public:
-  /// Table key ([a-z0-9-], unique).
-  const std::string& name() const { return name_; }
-  /// One-line human description for --list-targets.
-  const std::string& description() const { return description_; }
-  /// Can this build + host execute the level?
-  bool available() const;
-  /// The ISA level tiles lower at ("simd": the widest available).
-  int level() const;
-
- private:
-  friend const std::vector<const Target*>& registered_targets();
-  Target(std::string name, std::string description, int pinned_level);
-
-  std::string name_, description_;
-  int pinned_;  // < 0: the widest level
-};
-
-/// The four targets, in table order ("simd" first). Process lifetime.
-const std::vector<const Target*>& registered_targets();
-
-/// Looks up a target by name; nullptr when unknown (the target may still be
-/// unavailable on this host — check available()).
-const Target* find_target(const std::string& name);
-
-/// Looks up a target by name, throwing std::runtime_error — with the list of
-/// target names — when it is unknown or unavailable on this host.
-const Target& get_target(const std::string& name);
-
-/// The target newly constructed CrossbarArrays lower with when no explicit
-/// target is passed down (see precedence in the header comment).
-const Target& default_target();
-
-/// Overrides the process default (CLI --target). Throws like get_target.
-void set_default_target(const std::string& name);
-
-/// Drops the set_default_target override, restoring the startup default
-/// (CORRECTNET_TARGET when set, else "simd").
-void reset_default_target();
-
-/// The CORRECTNET_TARGET row (docs/CONFIG.md "Environment knobs").
-const core::Knobs& knobs();
-
-/// ISA levels of the simd family (0 = generic, 1 = avx2, 2 = avx512f). The
-/// "simd" target lowers at max_level(); a specific level is selected by
-/// naming its pinned target (simd-generic/...).
+/// ISA levels of the simd family (0 = generic, 1 = avx2, 2 = avx512f).
 namespace simd {
-int max_level();  // widest level this build + host can execute
+/// The widest level this build + host can execute (from cpuid, read once).
+int max_level();
+/// The level tiles lower at: max_level(), unless pinned.
+int level();
+/// "generic", "avx2" or "avx512f" for a level in [0, 2].
+const char* level_name(int level);
+/// Pins the lowering level for every tile lowered afterwards; -1 unpins.
+/// Tiles already lowered keep their level. Throws std::invalid_argument for
+/// a level this host cannot run (or one below -1). For parity tests and
+/// bench_kernels; a pinned level never changes a result.
+void pin_level(int level);
 }  // namespace simd
 
 }  // namespace cn::exec

@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
-#include "exec/target.h"
 #include "obs/exposition.h"
 #include "obs/json.h"
 #include "obs/log.h"
@@ -117,11 +117,29 @@ void CampaignReport::write_json(const std::string& path) const {
 }
 
 Campaign::Campaign(CampaignOptions opts) : opts_(opts) {
-  if (opts_.chips < 1)
-    throw std::invalid_argument("Campaign: need at least one chip per scenario");
-  if (opts_.parallel_scenarios < 0)
-    throw std::invalid_argument(
-        "Campaign: parallel_scenarios must be >= 0 (0 = auto)");
+  // Out-of-range values would only surface after training, in the chips or
+  // the evaluator: batch 0 divides by zero, bits past 30 shift past int
+  // width, levels 1 skips quantization silently. Reject them up front.
+  auto require = [](bool ok, const std::string& what) {
+    if (!ok) throw std::invalid_argument("Campaign: " + what);
+  };
+  auto sigma_ok = [](float s) { return std::isfinite(s) && s >= 0.0f; };
+  const analog::RramDeviceParams& dev = opts_.dev;
+  require(opts_.chips >= 1, "need at least one chip per scenario");
+  require(opts_.batch_size >= 1, "batch must be >= 1");
+  require(opts_.tile >= 1, "tile must be >= 1");
+  require(opts_.parallel_scenarios >= 0,
+          "parallel_scenarios must be >= 0 (0 = auto)");
+  require(opts_.catastrophic_below >= 0.0 && opts_.catastrophic_below <= 1.0,
+          "catastrophic must be in [0, 1]");
+  require(dev.readout.adc_bits >= 0 && dev.readout.adc_bits <= 30,
+          "adc_bits must be in [0, 30] (0 = off)");
+  require(dev.readout.dac_bits >= 0 && dev.readout.dac_bits <= 30,
+          "dac_bits must be in [0, 30] (0 = off)");
+  require(dev.conductance_levels == 0 || dev.conductance_levels >= 2,
+          "levels must be 0 (off) or >= 2");
+  require(sigma_ok(dev.program_sigma), "program_sigma must be finite and >= 0");
+  require(sigma_ok(dev.readout.read_sigma), "read_sigma must be finite and >= 0");
   // An enabled remap axis with every repair move switched off would double
   // the grid with bit-identical no-op rows — the silent-misconfiguration
   // class the config hardening exists to stop.
@@ -129,9 +147,6 @@ Campaign::Campaign(CampaignOptions opts) : opts_(opts) {
     throw std::invalid_argument(
         "Campaign: remap axis enabled but no repair moves configured "
         "(spare budget 0 and pair_swap off)");
-  // Resolve the execution target against the registry now: a typo'd name
-  // must fail before any training or scenario work, not at the first farm.
-  if (!opts_.target.empty()) exec::get_target(opts_.target);
 }
 
 void Campaign::add_model(const std::string& name, const nn::Sequential& model,
@@ -254,7 +269,6 @@ CampaignReport Campaign::run(const data::Dataset& test) {
     // functions of chip_seed(s), so the slot count never changes results.
     if (fo.max_live == 0 && conc > 1) fo.max_live = 1;
     fo.tile = opts_.tile;
-    fo.target = opts_.target;
     if (cell.remap_on) fo.remap = opts_.remap;
     runtime::ChipFarm farm(*me.model, opts_.dev, fo, lists[cell.fi]);
     runtime::McEngineOptions eo;
@@ -299,7 +313,6 @@ const core::Knobs& campaign_knobs() {
         {"batch", KnobType::kInt, "128"},
         {"catastrophic", KnobType::kNumber, "0.2"},
         {"tile", KnobType::kInt, "128"},
-        {"target", KnobType::kString, "", "--target"},
         {"control", KnobType::kBool, "1"},
         {"parallel_scenarios", KnobType::kInt, "0", "--parallel"},
         {"program_sigma", KnobType::kNumber, "0"},
@@ -324,6 +337,10 @@ const core::Knobs& campaign_knobs() {
         {"fusion", KnobType::kString, "", "--fusion", "",
          "was removed; set CORRECTNET_FUSION=on|off to select the fused or "
          "unfused eval path"},
+        // Every ISA level is bitwise-exact, so reports never depended on it.
+        {"target", KnobType::kString, "", "--target", "",
+         "was removed with the execution-target table (and --list-targets); "
+         "the crossbar kernels run at the widest ISA level the CPU supports"},
     };
     // Campaign files take every obs key (the env-only ones stay env-only).
     for (const core::Knob& k : obs::knobs())
@@ -341,7 +358,6 @@ Campaign campaign_from_config(const core::KeyValueConfig& in) {
   opts.seed = static_cast<uint64_t>(cfg.integer("seed"));
   opts.batch_size = cfg.integer("batch");
   opts.tile = cfg.integer("tile");
-  opts.target = cfg.str("target");
   opts.parallel_scenarios = cfg.integer("parallel_scenarios");
   opts.catastrophic_below = cfg.number("catastrophic");
   opts.dev.program_sigma = static_cast<float>(cfg.number("program_sigma"));

@@ -51,10 +51,6 @@ struct CampaignOptions {
   // parallelism — on wide boxes use 0 (auto) or >= the core count.
   int64_t parallel_scenarios = 0;
   double catastrophic_below = 0.2;  // accuracy counted as catastrophic failure
-  // Execution target every scenario's crossbar farms lower with, validated
-  // against the exec target table by the Campaign ctor. Empty = process default.
-  // Every target is bit-exact, so it never changes a report.
-  std::string target;
   analog::RramDeviceParams dev;     // baseline device every scenario starts from
   // Fault-aware remapping protection axis: when `remap.enabled`, every
   // (fault, model) cell runs twice — remap off, then remap on with these
@@ -109,6 +105,11 @@ struct CampaignReport {
 
 class Campaign {
  public:
+  /// Validates `opts` before any work: chips, batch_size and tile >= 1,
+  /// parallel_scenarios >= 0, catastrophic_below in [0, 1], the device's
+  /// adc/dac bits in [0, 30], conductance_levels 0 (off) or >= 2, sigmas
+  /// finite and >= 0, and an enabled remap axis with a repair move. Throws
+  /// std::invalid_argument naming the option.
   explicit Campaign(CampaignOptions opts = {});
 
   /// Registers a protection variant (evaluated against every fault spec).
@@ -125,8 +126,8 @@ class Campaign {
 
   int64_t num_models() const { return static_cast<int64_t>(models_.size()); }
   int64_t num_faults() const { return static_cast<int64_t>(faults_.size()); }
-  /// Every option the campaign was built with (frontends print the target,
-  /// the remap axis and the scenario concurrency from it).
+  /// Every option the campaign was built with (frontends print the remap
+  /// axis and the scenario concurrency from it).
   const CampaignOptions& options() const { return opts_; }
   /// Grid size = fault specs x protection variants x remap variants.
   int64_t num_scenarios() const {

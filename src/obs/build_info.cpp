@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "exec/target.h"
+#include "exec/simd.h"
 
 namespace cn::obs {
 
@@ -20,16 +20,6 @@ std::string detect_compiler() {
 #else
   return "unknown";
 #endif
-}
-
-std::string detect_simd() {
-  // The same detection the "simd" target lowers with, so /statusz
-  // reports the ISA the kernels will actually run.
-  switch (exec::simd::max_level()) {
-    case 2: return "avx512f";
-    case 1: return "avx2";
-  }
-  return "generic";
 }
 
 }  // namespace
@@ -50,7 +40,9 @@ const BuildInfo& build_info() {
     if (b.git_sha.empty()) b.git_sha = "unknown";
     if (b.build_type.empty()) b.build_type = "unknown";
     b.compiler = detect_compiler();
-    b.simd = detect_simd();
+    // The level unpinned tiles lower at, so /statusz reports the ISA the
+    // kernels actually run.
+    b.simd = exec::simd::level_name(exec::simd::max_level());
     return b;
   }();
   return info;

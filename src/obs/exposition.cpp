@@ -160,13 +160,13 @@ std::string render_statusz(bool ready) {
     out += buf;
   }
 
-  // Per-execution-target traffic (exec.<target>.tiles / .bytes counters).
+  // Crossbar lowering volume (exec.tiles / exec.bytes counters).
   std::string exec;
   for (const auto& [name, v] : snap.counters) {
     if (name.rfind("exec.", 0) != 0) continue;
     exec += "  " + name + ": " + std::to_string(v) + "\n";
   }
-  if (!exec.empty()) out += "\nexecution targets:\n" + exec;
+  if (!exec.empty()) out += "\nexec lowering:\n" + exec;
 
   std::lock_guard<std::mutex> lk(g_sections_mu);
   for (const auto& [id, sec] : sections()) {

@@ -8,11 +8,6 @@
 // across a pool) applied to the analog-chip simulator: batching feeds the
 // crossbar matmul path whole tile passes instead of per-request MVMs.
 //
-// Execution-target selection rides the farm (ChipFarmOptions::target /
-// exec::default_target()): workers serve through whatever target the farm's
-// crossbar chips were lowered with — swapping targets swaps the served
-// kernels without touching the scheduler.
-//
 // Latency/throughput counters are kept per server and snapshot via stats();
 // per-request enqueue->complete latency feeds an obs::LatencyHistogram, so
 // the snapshot carries exact-rank p50/p99/p999 percentiles. The server also

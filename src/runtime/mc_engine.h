@@ -7,10 +7,9 @@
 // chip_seed(s) and results reduce in chip order, McResult.samples is
 // bit-identical for any thread count and any number of live slots.
 //
-// Execution-target selection rides the farm (ChipFarmOptions::target /
-// exec::default_target()): the engine evaluates whatever target the farm's
-// crossbar chips were lowered with, and every target leaves the McResult
-// byte-identical by the targets' parity contract.
+// Crossbar chips run the simd kernels at the ISA level they were lowered at
+// (exec::simd::level()); every level leaves the McResult byte-identical by
+// the kernels' parity contract.
 #pragma once
 
 #include "core/montecarlo.h"

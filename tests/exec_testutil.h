@@ -1,9 +1,8 @@
 // Shared helpers for suites that assert the bit-exactness contract between
 // execution paths (batched crossbar vs scalar matvec, fused vs unfused
-// graphs). Every execution target honors the contract (exec/target.h), so
-// these assertions hold under whatever CORRECTNET_TARGET the run forces;
-// per-target parity itself is proven with explicit targets in
-// tests/test_crossbar_exec.cpp.
+// graphs) and across the simd ISA levels (exec/simd.h). for_each_level runs
+// a check once unpinned and once at every level the host can run pinned, so
+// a sweep proves the contract at every level in one tier-1 pass.
 //
 // expect_bitwise_equal is the shared parity assertion: one failure per call
 // with the first mismatching index, both values, the magnitude of the
@@ -19,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/simd.h"
 #include "tensor/tensor.h"
 
 namespace cn::testutil {
@@ -57,6 +57,28 @@ inline void expect_bitwise_equal(const float* got, const float* want,
                 << got[first] << ", want " << want[first] << " (|diff| "
                 << std::abs(static_cast<double>(got[first]) - want[first])
                 << ", " << ulp_distance(got[first], want[first]) << " ulps)";
+}
+
+// Pins the simd lowering level for its scope (-1 = unpinned) and unpins on
+// exit, so a failed assertion never leaks a pin into the next test.
+struct PinnedLevel {
+  explicit PinnedLevel(int level) { exec::simd::pin_level(level); }
+  ~PinnedLevel() { exec::simd::pin_level(-1); }
+  PinnedLevel(const PinnedLevel&) = delete;
+  PinnedLevel& operator=(const PinnedLevel&) = delete;
+};
+
+// Calls fn(name) with tiles lowering unpinned (the host's widest level),
+// then pinned at every level from generic up to max_level(). Returns the
+// number of runs: always >= 2, since generic runs everywhere.
+template <class Fn>
+int for_each_level(Fn&& fn) {
+  int runs = 0;
+  for (int level = -1; level <= exec::simd::max_level(); ++level, ++runs) {
+    PinnedLevel pin(level);
+    fn(std::string(level < 0 ? "unpinned" : exec::simd::level_name(level)));
+  }
+  return runs;
 }
 
 inline void expect_bitwise_equal(const Tensor& got, const Tensor& want,

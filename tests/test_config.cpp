@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "../examples/frontend_knobs.h"
-#include "exec/target.h"
 #include "faultsim/campaign.h"
 #include "mutation_testutil.h"
 #include "nn/fusion.h"
@@ -246,7 +245,6 @@ TEST(ConfigDocs, MarkedTablesMatchTheRowsCellByCell) {
   expect_table_matches("serving-keys", runtime::serving_knobs());
   expect_table_matches("obs-knobs", obs::knobs());
   Knobs env = RuntimeConfig::knobs();
-  append(env, exec::knobs(), {"CORRECTNET_TARGET"});
   append(env, nn::fusion_knobs(), {"CORRECTNET_FUSION"});
   expect_table_matches("env-knobs", env);
   // The frontends' own flags; the library rows they take are above.
@@ -271,10 +269,44 @@ TEST(CampaignConfig, RetiredNamesFailLoudly) {
               std::string::npos)
         << e.what();
   }
-  // The retired huge-tile target is an unknown name at campaign construction.
-  EXPECT_THROW(faultsim::campaign_from_config(KeyValueConfig::from_string(
-                   "stuck.rates = 0.01\ntarget = huge-tile\n")),
-               std::runtime_error);
+  // The `target` key went with the execution-target table: any value, a
+  // once-valid name included, throws saying what decides the level now.
+  for (const char* name : {"simd", "huge-tile"}) {
+    try {
+      faultsim::campaign_from_config(KeyValueConfig::from_string(
+          std::string("stuck.rates = 0.01\ntarget = ") + name + "\n"));
+      ADD_FAILURE() << "`target = " << name << "` must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("widest ISA level"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CampaignConfig, OutOfRangeValuesFailAtConstruction) {
+  // None of these may reach training: unchecked, batch 0, tile 0 and
+  // adc_bits 31 crash after it, and the rest silently corrupt the report
+  // (batch -1, bits past int width, levels 1, a nan threshold, an inf or
+  // negative sigma).
+  for (const char* bad :
+       {"batch = 0", "batch = -1", "tile = 0", "adc_bits = 31", "adc_bits = 99",
+        "adc_bits = -1", "dac_bits = 40", "levels = 1", "levels = -3",
+        "catastrophic = nan", "catastrophic = 1.5", "catastrophic = -0.1",
+        "read_sigma = inf", "read_sigma = -0.1", "program_sigma = -1"})
+    EXPECT_ANY_THROW(faultsim::campaign_from_config(KeyValueConfig::from_string(
+        std::string("stuck.rates = 0.01\n") + bad + "\n")))
+        << bad;
+  // The edges of every range stay valid.
+  for (const char* ok : {"batch = 1", "tile = 1", "adc_bits = 30", "dac_bits = 30",
+                         "levels = 2", "catastrophic = 0", "catastrophic = 1",
+                         "read_sigma = 0.5"})
+    EXPECT_NO_THROW(faultsim::campaign_from_config(KeyValueConfig::from_string(
+        std::string("stuck.rates = 0.01\n") + ok + "\n")))
+        << ok;
+  // Direct API callers get the same check, as std::invalid_argument.
+  faultsim::CampaignOptions opts;
+  opts.batch_size = 0;
+  EXPECT_THROW(faultsim::Campaign{opts}, std::invalid_argument);
 }
 
 TEST(KeyValueConfig, MissingFileThrows) {
@@ -358,7 +390,6 @@ TEST(CampaignConfig, EmptyConfigMatchesOptionDefaults) {
   EXPECT_EQ(got.seed, want.seed);
   EXPECT_EQ(got.batch_size, want.batch_size);
   EXPECT_EQ(got.tile, want.tile);
-  EXPECT_EQ(got.target, want.target);
   EXPECT_EQ(got.parallel_scenarios, want.parallel_scenarios);
   EXPECT_EQ(got.catastrophic_below, want.catastrophic_below);
   EXPECT_EQ(got.dev.program_sigma, want.dev.program_sigma);

@@ -1,8 +1,8 @@
 // Crossbar-backed execution of whole models, the equivalence between the
 // device-level substrate and the fast factor-injection path, and the
-// per-execution-target parity of the batched matmul path vs the per-column
-// matvec loop across every periphery configuration and fault model: every
-// target must match bit for bit.
+// per-ISA-level parity of the batched matmul path vs the per-column matvec
+// loop across every periphery configuration and fault model: every simd
+// level must match bit for bit.
 #include "analog/crossbar_layers.h"
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "core/montecarlo.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "exec/target.h"
 #include "exec_testutil.h"
 #include "faultsim/fault_models.h"
 #include "models/lenet.h"
@@ -34,12 +33,12 @@ RramDeviceParams ideal() {
   return dev;
 }
 
-// For every registered target this host can execute, builds an
-// array from (dev, faults) explicitly on that target and asserts
-// y == matvec row by row for matmul and matmul_cols on a random batch. Each
-// target's array is programmed from a freshly re-seeded rng, so all targets
-// execute identical conductances; matvec itself is target-independent. With
-// a `noise_seed` every path reads under it, batch row n as read 5 + n.
+// For every simd level (testutil::for_each_level), builds an array from
+// (dev, faults) lowered at that level and asserts y == matvec row by row for
+// matmul and matmul_cols on a random batch. Each level's array is programmed
+// from a freshly re-seeded rng, so all levels execute identical
+// conductances; matvec itself is level-independent. With a `noise_seed`
+// every path reads under it, batch row n as read 5 + n.
 void expect_paths_bit_identical(const RramDeviceParams& dev,
                                 const FaultList* faults, uint64_t seed,
                                 const std::string& what,
@@ -57,13 +56,9 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
   Tensor x_cm({kIn, kBatch});
   for (int64_t n = 0; n < kBatch; ++n)
     for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
-  int targets_run = 0;
-  for (const exec::Target* t : exec::registered_targets()) {
-    if (!t->available()) continue;
-    ++targets_run;
+  const int levels_run = testutil::for_each_level([&](const std::string& level) {
     Rng prog(seed + 1);
-    CrossbarArray xbar(w, dev, prog, /*tile=*/8, faults, nullptr,
-                       t);  // multiple tiles both ways
+    CrossbarArray xbar(w, dev, prog, /*tile=*/8, faults);  // multiple tiles both ways
     Tensor y_batch = xbar.matmul(x, reads(5));
     // matmul_cols returns (out, batch); transposed back to matmul's layout.
     Tensor y_cols = transpose(xbar.matmul_cols(x_cm, reads(5)));
@@ -71,16 +66,16 @@ void expect_paths_bit_identical(const RramDeviceParams& dev,
     for (int64_t n = 0; n < kBatch; ++n) {
       std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
       Tensor yi = xbar.matvec(xi, reads(5 + static_cast<uint64_t>(n)));
-      const std::string row = what + " [" + t->name() + "] row " +
+      const std::string row = what + " [" + level + "] row " +
                               std::to_string(n);
       testutil::expect_bitwise_equal(y_batch.data() + n * kOut, yi.data(),
                                      kOut, row + " matmul");
       testutil::expect_bitwise_equal(y_cols.data() + n * kOut, yi.data(),
                                      kOut, row + " matmul_cols");
     }
-  }
-  // simd and simd-generic are always executable.
-  ASSERT_GE(targets_run, 2) << what;
+  });
+  // Unpinned and generic are always executable.
+  ASSERT_GE(levels_run, 2) << what;
 }
 
 TEST(CrossbarExec, PeripheryCombosKeepBatchedAndMatvecBitIdentical) {
@@ -152,20 +147,12 @@ TEST(CrossbarExec, EveryFaultModelKeepsBatchedAndMatvecBitIdentical) {
 
 // Whether the host CPU can execute AVX-512F code from this build (the same
 // condition the simd family's level detection applies).
-bool host_has_avx512f() {
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
-}
-
 TEST(CrossbarExec, ForcedSimdDispatchLevelsAreBitIdentical) {
-  // The default "simd" target lowers at the widest ISA the host supports, so
-  // its own parity only ever proves that one level. Run every pinned level
-  // on the same inputs and conductances: each must reproduce the per-column
-  // matvec loop bit for bit (fp-contract stays off in the SIMD variants, so
-  // there is no FMA to round differently).
+  // Unpinned tiles lower at the widest ISA the host supports, so their own
+  // parity only ever proves that one level. Run every pinned level on the
+  // same inputs and conductances: each must reproduce the per-column matvec
+  // loop bit for bit (fp-contract stays off in the SIMD variants, so there
+  // is no FMA to round differently).
   RramDeviceParams dev = ideal();
   dev.program_sigma = 0.2f;
   dev.conductance_levels = 16;
@@ -180,32 +167,24 @@ TEST(CrossbarExec, ForcedSimdDispatchLevelsAreBitIdentical) {
   for (int64_t n = 0; n < kBatch; ++n)
     for (int64_t k = 0; k < kIn; ++k) x_cm[k * kBatch + n] = x[n * kIn + k];
 
-  int tested = 0;
-  for (const char* name : {"simd-generic", "simd-avx2", "simd-avx512f"}) {
-    const exec::Target* pinned = exec::find_target(name);
-    ASSERT_NE(pinned, nullptr) << name;
-    if (!pinned->available()) continue;  // host can't execute it
-    ++tested;
+  const int tested = testutil::for_each_level([&](const std::string& name) {
     Rng prog(401);  // identical conductances on every level
-    CrossbarArray xbar(w, dev, prog, /*tile=*/8, nullptr, nullptr,
-                       &exec::get_target(name));
+    CrossbarArray xbar(w, dev, prog, /*tile=*/8);
     const Tensor y_batch = xbar.matmul(x);
     const Tensor y_cols = transpose(xbar.matmul_cols(x_cm));  // (batch, out)
     Tensor xi({kIn});
     for (int64_t n = 0; n < kBatch; ++n) {
-      // Reference: the scalar per-column loop (target-independent).
+      // Reference: the scalar per-column loop (level-independent).
       std::copy(x.data() + n * kIn, x.data() + (n + 1) * kIn, xi.data());
       const Tensor ref = xbar.matvec(xi);
-      const std::string row = std::string(name) + " row " + std::to_string(n);
+      const std::string row = name + " row " + std::to_string(n);
       testutil::expect_bitwise_equal(y_batch.data() + n * kOut, ref.data(),
                                      kOut, row + " matmul");
       testutil::expect_bitwise_equal(y_cols.data() + n * kOut, ref.data(),
                                      kOut, row + " matmul_cols");
     }
-  }
-  EXPECT_GE(tested, 1);  // generic always runs
-  // The widest level is offered exactly when the host can execute it.
-  EXPECT_EQ(exec::find_target("simd-avx512f")->available(), host_has_avx512f());
+  });
+  EXPECT_GE(tested, 2);  // unpinned and generic always run
 }
 
 TEST(CrossbarExec, ReadNoisePathsAreSeedDeterministic) {
@@ -261,7 +240,7 @@ Tensor conv_input(const ConvCase& cc, uint64_t seed, int64_t batch = 2) {
   return x;
 }
 
-// For every target this host can execute: a CrossbarConv2D's
+// At every simd level (testutil::for_each_level): a CrossbarConv2D's
 // batched forward (pixel lanes, bitline-major readout) must equal its own
 // per-column matvec forward bit for bit, with and without the ReLU epilogue,
 // quiet and with read noise keyed by a read seed. `tile` below K2 and out_c
@@ -273,29 +252,26 @@ void expect_conv_paths_bit_identical(const ConvCase& cc, const RramDeviceParams&
                                      const std::string& what) {
   const nn::Conv2D conv = make_conv(cc, seed);
   const Tensor x = conv_input(cc, seed + 1);
-  int targets_run = 0;
   RramDeviceParams noisy = dev;
   noisy.readout.read_sigma = 0.1f;
-  for (const exec::Target* t : exec::registered_targets()) {
-    if (!t->available()) continue;
-    ++targets_run;
+  const int levels_run = testutil::for_each_level([&](const std::string& level) {
     for (const bool keyed : {false, true}) {
       Rng prog(seed + 2);
-      CrossbarConv2D xc(conv, keyed ? noisy : dev, prog, tile, faults, remap, t);
+      CrossbarConv2D xc(conv, keyed ? noisy : dev, prog, tile, faults, remap);
       // Each path starts at read 0: the relu forward reads the next N·P.
       if (keyed) xc.set_read_seed(seed + 3);
       const Tensor batched = xc.forward(x, false);
       const Tensor batched_relu = xc.forward_relu(x);
       xc.set_batched(false);
       if (keyed) xc.set_read_seed(seed + 3);
-      const std::string tag = what + " " + cc.name + " [" + t->name() + "]" +
+      const std::string tag = what + " " + cc.name + " [" + level + "]" +
                               (keyed ? " read noise" : "");
       testutil::expect_bitwise_equal(batched, xc.forward(x, false), tag);
       testutil::expect_bitwise_equal(batched_relu, xc.forward_relu(x), tag + " relu");
     }
-  }
-  // simd and its pinned generic level are always executable.
-  ASSERT_GE(targets_run, 2) << what;
+  });
+  // Unpinned and generic are always executable.
+  ASSERT_GE(levels_run, 2) << what;
 }
 
 TEST(CrossbarConvParity, PixelCountsAroundTheLaneWidth) {
@@ -354,27 +330,25 @@ TEST(CrossbarConvParity, PostPoolFusionMatchesTheUnfusedPlan) {
   const nn::Conv2D conv = make_conv(cc, 5000);
   const Tensor x = conv_input(cc, 5001, /*batch=*/3);
   for (const bool avg : {false, true}) {
-    for (const exec::Target* t : exec::registered_targets()) {
-      if (!t->available()) continue;
+    testutil::for_each_level([&](const std::string& level) {
       Rng prog(5002);
       nn::Sequential chip("chip");
-      chip.add(std::make_unique<CrossbarConv2D>(conv, dev, prog, /*tile=*/64, nullptr,
-                                                nullptr, t));
+      chip.add(std::make_unique<CrossbarConv2D>(conv, dev, prog, /*tile=*/64));
       chip.add(std::make_unique<nn::ReLU>());
       if (avg)
         chip.add(std::make_unique<nn::AvgPool2D>(2));
       else
         chip.add(std::make_unique<nn::MaxPool2D>(2));
       nn::FusedPlan plan(chip);
-      EXPECT_EQ(plan.stats().post_pools_fused, 1) << t->name();
-      EXPECT_EQ(plan.stats().relu_fused, 1) << t->name();
+      EXPECT_EQ(plan.stats().post_pools_fused, 1) << level;
+      EXPECT_EQ(plan.stats().relu_fused, 1) << level;
       nn::set_fusion_enabled(false);
       const Tensor unfused = chip.forward(x, false);
       const Tensor fused = plan.execute(x);
       testutil::expect_bitwise_equal(fused, unfused,
                                      std::string(avg ? "avg" : "max") + " [" +
-                                         t->name() + "]");
-    }
+                                         level + "]");
+    });
   }
 }
 
@@ -433,7 +407,7 @@ TEST(ProgramToCrossbars, WholeModelIdealAccuracyMatches) {
   nn::Sequential xm = program_to_crossbars(m, ideal(), prog);
   const float acc_ref = core::evaluate(m, ds.test);
   const float acc_xbar = core::evaluate(xm, ds.test, /*batch=*/20);
-  // Every target is bit-exact, so the ideal device flips no logits.
+  // Every simd level is bit-exact, so the ideal device flips no logits.
   EXPECT_NEAR(acc_xbar, acc_ref, 1e-6f);
 }
 

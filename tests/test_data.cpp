@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "data/batcher.h"
 
@@ -135,6 +136,9 @@ TEST(Batcher, CoversDatasetOnce) {
   EXPECT_EQ(total, 25);
   // Last batch is the remainder.
   EXPECT_EQ(b.get(3).size(), 1);
+  // A batch of 0 used to divide by zero in num_batches; -1 ran no batches.
+  EXPECT_THROW(Batcher(ds.train, 0), std::invalid_argument);
+  EXPECT_THROW(Batcher(ds.train, -1), std::invalid_argument);
 }
 
 TEST(Batcher, ReshuffleChangesOrderButNotContent) {

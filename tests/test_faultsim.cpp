@@ -13,6 +13,7 @@
 #include "core/compensation.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
+#include "exec_testutil.h"
 #include "models/lenet.h"
 #include "runtime/chip_farm.h"
 #include "runtime/mc_engine.h"
@@ -464,6 +465,14 @@ TEST(Campaign, SequentialVsParallelReportsAreByteIdentical) {
     CampaignReport par = make(parallel).run(f.ds.test);
     par.wall_s = 0.0;
     EXPECT_EQ(par.to_json(), ref) << "parallel_scenarios=" << parallel;
+  }
+  // Nor does the simd ISA level the chips lower at: the whole report is
+  // bit-identical at every level the host runs.
+  for (int level = 0; level <= exec::simd::max_level(); ++level) {
+    testutil::PinnedLevel pin(level);
+    CampaignReport pinned = make(4).run(f.ds.test);
+    pinned.wall_s = 0.0;
+    EXPECT_EQ(pinned.to_json(), ref) << "simd level " << exec::simd::level_name(level);
   }
 }
 

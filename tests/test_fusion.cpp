@@ -2,7 +2,7 @@
 // post-pool, flatten reshape, and the layers that stay their own steps), the
 // process-wide knob contract, the randomized parity sweep (fused vs unfused,
 // bitwise with and without batchnorm, on the digital path and on crossbar
-// chips across every execution target), the compensated CorrectNet chip,
+// chips at every simd ISA level), the compensated CorrectNet chip,
 // and campaign-report byte-identity with fusion forced on vs off.
 #include "nn/fusion.h"
 
@@ -16,7 +16,6 @@
 #include "analog/crossbar_layers.h"
 #include "core/compensation.h"
 #include "data/synthetic.h"
-#include "exec/target.h"
 #include "exec_testutil.h"
 #include "faultsim/campaign.h"
 #include "graph_testutil.h"
@@ -270,15 +269,15 @@ TEST(FusionParity, RandomizedDigitalGraphSweep) {
   EXPECT_GT(rewrites, 0);   // and the plan folded something
 }
 
-TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
+TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryLevel) {
   // The plan pools a crossbar conv's output as it is written (post-pool),
-  // and fused vs unfused on a chip is bitwise for every target.
+  // and fused vs unfused on a chip is bitwise at every simd level.
   FusionGuard guard;
   analog::RramDeviceParams dev;
   dev.g_min = 1e-6f;
   dev.g_max = 1e-4f;
   dev.program_sigma = 0.1f;
-  int targets_run = 0;
+  int levels_run = 0;
   int64_t crossbar_post_pools = 0;
   for (const uint64_t seed : {3u, 8u}) {
     testutil::RandomModelSpec spec;
@@ -286,42 +285,26 @@ TEST(FusionParity, CrossbarChipsAreBitwiseExactOnEveryTarget) {
     spec.allow_batchnorm = (seed == 8);
     testutil::RandomModel rm = testutil::make_random_model(spec);
     const Tensor x = testutil::random_input(rm, seed + 101, 2);
-    for (const exec::Target* t : exec::registered_targets()) {
-      if (!t->available()) continue;
-      ++targets_run;
+    levels_run += testutil::for_each_level([&](const std::string& level) {
       Rng prog(seed + 7);
-      nn::Sequential chip = analog::program_to_crossbars(
-          rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr, t);
+      nn::Sequential chip =
+          analog::program_to_crossbars(rm.model, dev, prog, /*tile=*/32);
       const Tensor unfused = forward_with_fusion(chip, x, false);
       const Tensor fused = forward_with_fusion(chip, x, true);
       testutil::expect_bitwise_equal(fused, unfused,
-                                     "target " + t->name() + " seed " +
+                                     "level " + level + " seed " +
                                          std::to_string(seed));
       nn::FusedPlan plan(chip);
       crossbar_post_pools += plan.stats().post_pools_fused;
-    }
+    });
   }
-  // simd and simd-generic are always executable, at two seeds each.
-  EXPECT_GE(targets_run, 4);
+  // Unpinned and generic always run, at two seeds each.
+  EXPECT_GE(levels_run, 4);
   // The sweep exercised the crossbar post-pool write-out.
   EXPECT_GT(crossbar_post_pools, 0);
-
-  // The pinned generic SIMD level preserves parity.
-  testutil::RandomModelSpec spec;
-  spec.seed = 13;
-  spec.allow_batchnorm = false;
-  testutil::RandomModel rm = testutil::make_random_model(spec);
-  const Tensor x = testutil::random_input(rm, 131, 2);
-  Rng prog(19);
-  nn::Sequential chip = analog::program_to_crossbars(
-      rm.model, dev, prog, /*tile=*/32, nullptr, 0, nullptr,
-      &exec::get_target("simd-generic"));
-  const Tensor unfused = forward_with_fusion(chip, x, false);
-  const Tensor fused = forward_with_fusion(chip, x, true);
-  testutil::expect_bitwise_equal(fused, unfused, "pinned generic simd");
 }
 
-TEST(FusionParity, CompensatedChipIsBitwiseExactOnEveryTarget) {
+TEST(FusionParity, CompensatedChipIsBitwiseExactOnEveryLevel) {
   // The CorrectNet chip: conv1 and conv2 of LeNet-5 wrapped in compensation
   // (§III-B), their bases on the crossbar. relu1/relu2 fold into the
   // compensated steps (the default forward_relu clamp), and fused vs
@@ -358,26 +341,24 @@ TEST(FusionParity, CompensatedChipIsBitwiseExactOnEveryTarget) {
   dev.g_min = 1e-6f;
   dev.g_max = 1e-4f;
   dev.program_sigma = 0.1f;
-  int targets_run = 0;
+  int levels_run = 0;
   for (const float read_sigma : {0.0f, 0.05f}) {
     dev.readout.read_sigma = read_sigma;
-    for (const exec::Target* t : exec::registered_targets()) {
-      if (!t->available()) continue;
-      ++targets_run;
-      const std::string what = "target " + t->name() + " read_sigma " +
+    levels_run += testutil::for_each_level([&](const std::string& level) {
+      const std::string what = "level " + level + " read_sigma " +
                                std::to_string(read_sigma);
       Rng prog(74);
-      nn::Sequential chip = analog::program_to_crossbars(
-          model, dev, prog, /*tile=*/64, nullptr, 0, nullptr, t);
+      nn::Sequential chip =
+          analog::program_to_crossbars(model, dev, prog, /*tile=*/64);
       expect_folds(chip, what);
       analog::set_read_seeds(chip, 75);
       const Tensor unfused = forward_with_fusion(chip, x, false);
       analog::set_read_seeds(chip, 75);
       const Tensor fused = forward_with_fusion(chip, x, true);
       testutil::expect_bitwise_equal(fused, unfused, what);
-    }
+    });
   }
-  EXPECT_GE(targets_run, 4);  // simd and simd-generic, noise off and on
+  EXPECT_GE(levels_run, 4);  // unpinned and generic, noise off and on
 }
 
 // ---------- campaign byte-identity ----------

@@ -306,6 +306,15 @@ TEST(McEngine, CrossbarReadNoiseIdenticalAcrossSlotCountsAndRuns) {
       EXPECT_DOUBLE_EQ(ref.samples[s], all.samples[s])
           << "batch " << batch_size << " sample " << s;
   }
+  // Nor on the simd ISA level the chips lower at.
+  for (int level = 0; level <= exec::simd::max_level(); ++level) {
+    testutil::PinnedLevel pin(level);
+    const core::McResult pinned = run(3, 7);
+    ASSERT_EQ(pinned.samples.size(), 3u);
+    for (size_t s = 0; s < 3; ++s)
+      EXPECT_DOUBLE_EQ(ref.samples[s], pinned.samples[s])
+          << "simd level " << exec::simd::level_name(level) << " sample " << s;
+  }
   // And the engine equals the seed path: each chip evaluated on its own by
   // core::evaluate over the per-column matvec loop reproduces its sample
   // bitwise.
